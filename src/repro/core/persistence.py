@@ -11,6 +11,7 @@ a repr/eval-free JSON column so arbitrary str/int ids survive.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -50,26 +51,7 @@ def save_checkpoint(model: GloDyNE, path: str | Path) -> None:
     previous_nodes = list(model.previous.nodes()) if model.previous else []
     reservoir = model.reservoir.as_dict()
 
-    config = model.config
-    config_json = json.dumps(
-        {
-            "dim": config.dim,
-            "alpha": config.alpha,
-            "num_walks": config.num_walks,
-            "walk_length": config.walk_length,
-            "window_size": config.window_size,
-            "negative": config.negative,
-            "epochs": config.epochs,
-            "lr": config.lr,
-            "min_lr": config.min_lr,
-            "batch_size": config.batch_size,
-            "partition_eps": config.partition_eps,
-            "incremental_partition": config.incremental_partition,
-            "partition_cut_slack": config.partition_cut_slack,
-            "strategy": config.strategy,
-            "weighted_changes": config.weighted_changes,
-        }
-    )
+    config_json = json.dumps(dataclasses.asdict(model.config))
 
     np.savez(
         path,

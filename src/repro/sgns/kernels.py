@@ -1,11 +1,20 @@
 """Native-speed SGNS and walk kernels behind an import-guarded numba backend.
 
-The SGNS inner loop dominates end-to-end training (see
-``BENCH_parallel_walks``: the prefetch train path costs ~3-4x the walk
-corpus), and pure-numpy mega-batching bought ~1x. This module provides
-compiled kernels for the two hot loops — the SGNS gradient step and the
-walk transition — without giving up the repo's bit-exact determinism
+The SGNS gradient step is nearly all of a training run: on the
+``snapshot-hepph`` benchmark workload (``perfbench/``) it is ~95% of the
+train stage, which is ~98% of the run. This module holds the kernels for
+the two hot loops — the SGNS gradient step and the walk transition — in
+one canonical vectorised numpy form and in scalar-loop twins that numba
+can compile, without giving up the repo's bit-exact determinism
 contract.
+
+In the numpy step, the time goes to memory traffic, not arithmetic. The
+row scatters (``np.add.at``) and the gathers that feed the score loop
+cost more than the float work. So the step gathers its score operands
+d-major and scatters through numpy's 1-D ``ufunc.at`` fast path. Neither
+choice changes a single float operation or its order (see
+:func:`sgns_step_numpy`). Together they roughly double the step's
+throughput over 2-D ``np.add.at`` with transposed ``(B, q, d)`` copies.
 
 Three implementations of one algorithm family:
 
@@ -40,7 +49,10 @@ Bit-exactness is engineered, not hoped for:
   reproduces exactly.
 * **Scatters follow ``np.add.at`` order**: all gradients are computed
   from the pre-update matrices, then applied centre rows first, context
-  rows second, negative rows last, each in batch order.
+  rows second, negative rows last, each in batch order. The canonical
+  step adds them through a flat 1-D view of each matrix, one element at
+  a time in batch order, which is the order the 2-D ``np.add.at`` adds
+  them in and the order the loop twins replay.
 
 RNG stays on the caller's side: kernels consume pre-drawn randomness
 (negative draws in the trainer, per-step transition draws in the walk
@@ -157,22 +169,47 @@ def sgns_step_numpy(
 
     This *is* the legacy update stream: gradients of Eq. (9) with the
     table sigmoid, accumulated in ascending-``d`` / ascending-``q``
-    order, scattered with ``np.add.at`` so duplicate rows accumulate in
-    batch order. Every other backend reproduces this function bit for
-    bit. Returns ``(pos_scores, neg_scores)`` (pre-update dot products)
-    so callers can derive the batch loss without re-reading the weights.
+    order, and scattered so duplicate rows accumulate in batch order.
+    Every other backend reproduces this function bit for bit. Returns
+    ``(pos_scores, neg_scores)`` (pre-update dot products) so callers
+    can derive the batch loss without re-reading the weights.
+
+    ``w_in`` and ``w_out`` must be C-contiguous float64 matrices; they
+    are updated in place through a flat view, so anything else raises
+    :class:`ValueError` rather than losing the update.
+
+    Two layout choices make the step fast without touching the bits:
+
+    * **d-major gathers.** The score operands are gathered straight from
+      a transposed copy of ``w_out`` (``d x V``, small), so ``u_neg_t``
+      comes out ``(d, B, q)`` with no ``(B, q, d)`` gather to transpose,
+      and each pass of the ascending-``d`` score loop reads one
+      contiguous slab. A gather copies values exactly, so each score is
+      still the same float64 sum, term for term, in the same order.
+    * **1-D scatters.** Each ``np.add.at(matrix, rows, values)`` becomes
+      one ``np.add.at`` on ``matrix.reshape(-1)`` at ``rows * d + k``
+      (:func:`_scatter_rows`), which takes numpy's 1-D ``ufunc.at`` fast
+      path. Every element still receives its additions one at a time,
+      in batch order, and the scatters still run centres, contexts,
+      negatives — so every float add happens in the same order.
     """
+    for name, matrix in (("w_in", w_in), ("w_out", w_out)):
+        if matrix.dtype != np.float64 or not matrix.flags.c_contiguous:
+            raise ValueError(
+                f"{name} must be a C-contiguous float64 matrix (got "
+                f"dtype={matrix.dtype}, c_contiguous="
+                f"{matrix.flags.c_contiguous}); the step updates it in "
+                "place through a flat view"
+            )
     dim = w_in.shape[1]
     num_neg = negatives.shape[1]
-    h = w_in[centers]                      # (B, d) pre-update gathers
-    u_pos = w_out[contexts]                # (B, d)
-    u_neg = w_out[negatives]               # (B, q, d)
+    h = w_in[centers]                               # (B, d) pre-update gathers
+    h_t = np.ascontiguousarray(h.T)                 # (d, B)
+    w_out_t = np.ascontiguousarray(w_out.T)         # (d, V)
+    u_pos_t = w_out_t.take(contexts, axis=1)        # (d, B)
+    u_neg_t = w_out_t.take(negatives, axis=1)       # (d, B, q)
 
-    # Sequential-d dot products (see module docstring). The transposed
-    # copies keep each of the d vectorised passes contiguous.
-    h_t = np.ascontiguousarray(h.T)
-    u_pos_t = np.ascontiguousarray(u_pos.T)
-    u_neg_t = np.ascontiguousarray(u_neg.transpose(2, 0, 1))
+    # Sequential-d dot products (see module docstring).
     pos_score = np.zeros(h.shape[0], dtype=np.float64)
     neg_score = np.zeros(negatives.shape, dtype=np.float64)
     for k in range(dim):
@@ -182,18 +219,32 @@ def sgns_step_numpy(
     g_pos = table_sigmoid(pos_score, table) - 1.0   # d(-log sig(x))/dx
     g_neg = table_sigmoid(neg_score, table)         # d(-log sig(-x))/dx
 
-    grad_h = g_pos[:, None] * u_pos
+    grad_h_t = g_pos * u_pos_t                      # (d, B)
     for j in range(num_neg):                        # sequential-q sum
-        grad_h += g_neg[:, j, None] * u_neg[:, j]
+        grad_h_t += g_neg[:, j] * u_neg_t[:, :, j]
 
-    np.add.at(w_in, centers, -lr * grad_h)
-    np.add.at(w_out, contexts, -lr * (g_pos[:, None] * h))
-    np.add.at(
+    _scatter_rows(w_in, centers, -lr * grad_h_t.T)
+    _scatter_rows(w_out, contexts, -lr * (g_pos[:, None] * h))
+    _scatter_rows(
         w_out,
         negatives.ravel(),
         (-lr * (g_neg[:, :, None] * h[:, None, :])).reshape(-1, dim),
     )
     return pos_score, neg_score
+
+
+def _scatter_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(matrix, rows, values)`` as one 1-D ``np.add.at``.
+
+    ``values[i]`` is added to row ``rows[i]``. Element ``(r, k)`` gets
+    its additions in ascending ``i``, exactly as the 2-D call adds them,
+    but the flat index ``r * d + k`` lets numpy use its much faster 1-D
+    ``ufunc.at`` loop. ``matrix`` must be C-contiguous so that
+    ``reshape(-1)`` is a view of it.
+    """
+    dim = matrix.shape[1]
+    flat = (rows * dim)[:, None] + np.arange(dim)
+    np.add.at(matrix.reshape(-1), flat.ravel(), values.ravel())
 
 
 def uniform_resolve_numpy(

@@ -169,6 +169,131 @@ def test_model_train_batch_default_is_python_kernel(rng):
     assert np.array_equal(model_a.w_out, model_b.w_out)
 
 
+def _sgns_step_add_at_2d(w_in, w_out, centers, contexts, negatives, lr, table):
+    """Reference step that scatters with literal 2-D ``np.add.at`` calls.
+
+    Same gathers and arithmetic as the canonical kernel, written the
+    plain way: (B, q, d) gathers, transposed copies for the score loop,
+    and one row-wise ``np.add.at`` per scatter. The canonical kernel's
+    d-major gathers and flat 1-D scatters must match it bit for bit.
+    """
+    dim = w_in.shape[1]
+    num_neg = negatives.shape[1]
+    h = w_in[centers]
+    u_pos = w_out[contexts]
+    u_neg = w_out[negatives]
+    h_t = np.ascontiguousarray(h.T)
+    u_pos_t = np.ascontiguousarray(u_pos.T)
+    u_neg_t = np.ascontiguousarray(u_neg.transpose(2, 0, 1))
+    pos_score = np.zeros(h.shape[0], dtype=np.float64)
+    neg_score = np.zeros(negatives.shape, dtype=np.float64)
+    for k in range(dim):
+        pos_score += h_t[k] * u_pos_t[k]
+        neg_score += h_t[k][:, None] * u_neg_t[k]
+    g_pos = kernels.table_sigmoid(pos_score, table) - 1.0
+    g_neg = kernels.table_sigmoid(neg_score, table)
+    grad_h = g_pos[:, None] * u_pos
+    for j in range(num_neg):
+        grad_h += g_neg[:, j, None] * u_neg[:, j]
+
+    np.add.at(w_in, centers, -lr * grad_h)
+    np.add.at(w_out, contexts, -lr * (g_pos[:, None] * h))
+    np.add.at(
+        w_out,
+        negatives.ravel(),
+        (-lr * (g_neg[:, :, None] * h[:, None, :])).reshape(-1, dim),
+    )
+    return pos_score, neg_score
+
+
+def _assert_matches_add_at_reference(w_in, w_out, centers, contexts,
+                                     negatives, lr, steps):
+    table = kernels.sigmoid_table()
+    ref_in, ref_out = w_in.copy(), w_out.copy()
+    got_in, got_out = w_in.copy(), w_out.copy()
+    for _ in range(steps):
+        ref = _sgns_step_add_at_2d(
+            ref_in, ref_out, centers, contexts, negatives, lr, table
+        )
+        got = kernels.sgns_step_numpy(
+            got_in, got_out, centers, contexts, negatives, lr, table
+        )
+        assert np.array_equal(ref[0], got[0])
+        assert np.array_equal(ref[1], got[1])
+    assert np.array_equal(ref_in, got_in)
+    assert np.array_equal(ref_out, got_out)
+
+
+def test_sgns_step_matches_add_at_under_heavy_duplicates():
+    """Hundreds of repeats of one row per step still scatter in order.
+
+    Real snapshot runs draw ~1.4% distinct negatives per step: a few
+    popular rows receive hundreds of updates inside one ``np.add.at``.
+    Negatives here come from a unigram^0.75-skewed distribution over a
+    100-row vocabulary, as the trainer's noise table would draw them.
+    """
+    rng = np.random.default_rng(20)
+    batch, negative, dim, vocab = 2048, 5, 64, 100
+    counts = rng.zipf(1.6, vocab).astype(np.float64)
+    noise = counts**0.75 / (counts**0.75).sum()
+    negatives = rng.choice(vocab, size=(batch, negative), p=noise)
+    assert np.bincount(negatives.ravel()).max() >= 300
+    centers = rng.integers(0, vocab, batch)
+    contexts = rng.integers(0, vocab, batch)
+    w_in = (rng.random((vocab, dim)) - 0.5) / dim
+    w_out = rng.standard_normal((vocab, dim)) * 0.1
+    _assert_matches_add_at_reference(
+        w_in, w_out, centers, contexts, negatives, 0.025, steps=3
+    )
+
+
+@pytest.mark.parametrize(
+    "batch, negative, dim", [(1, 5, 16), (64, 1, 16), (64, 5, 1), (1, 1, 1)]
+)
+def test_sgns_step_matches_add_at_at_the_edges(batch, negative, dim):
+    """B=1, q=1 and d=1 reduce the flat scatter to degenerate shapes."""
+    rng = np.random.default_rng(batch * 100 + negative * 10 + dim)
+    vocab = 7
+    w_in = (rng.random((vocab, dim)) - 0.5) / dim
+    w_out = rng.standard_normal((vocab, dim)) * 0.1
+    _assert_matches_add_at_reference(
+        w_in,
+        w_out,
+        rng.integers(0, vocab, batch),
+        rng.integers(0, vocab, batch),
+        rng.integers(0, vocab, (batch, negative)),
+        0.1,
+        steps=3,
+    )
+
+
+@pytest.mark.parametrize("which", ["w_in", "w_out"])
+@pytest.mark.parametrize("bad", ["fortran", "float32", "strided"])
+def test_sgns_step_rejects_matrices_it_cannot_update_in_place(which, bad):
+    """A matrix whose flat view would be a copy raises instead of
+    silently dropping the update."""
+    rng = np.random.default_rng(0)
+    mats = {
+        "w_in": rng.standard_normal((6, 4)),
+        "w_out": rng.standard_normal((6, 4)),
+    }
+    if bad == "fortran":
+        mats[which] = np.asfortranarray(mats[which])
+    elif bad == "float32":
+        mats[which] = mats[which].astype(np.float32)
+    else:
+        mats[which] = rng.standard_normal((6, 8))[:, ::2]
+    before = {name: m.copy() for name, m in mats.items()}
+    with pytest.raises(ValueError, match=which):
+        kernels.sgns_step_numpy(
+            mats["w_in"], mats["w_out"],
+            np.array([0, 1]), np.array([2, 3]), np.array([[4], [5]]),
+            0.1, kernels.sigmoid_table(),
+        )
+    for name, m in mats.items():
+        assert np.array_equal(m, before[name])
+
+
 # ----------------------------------------------------------------------
 # 2. walk transitions
 # ----------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import GloDyNE
+from repro.core import GloDyNE, GloDyNEConfig
 from repro.core.persistence import load_checkpoint, save_checkpoint
 
 KWARGS = dict(
@@ -44,6 +46,30 @@ class TestRoundTrip:
         restored = load_checkpoint(path)
         assert restored.config == model.config
         assert restored.time_step == model.time_step
+
+    def test_every_config_field_survives(self, tmp_path):
+        """A checkpoint keeps every GloDyNEConfig field, not a hand-picked
+        subset: each field is set off its default, saved, and reloaded."""
+        non_default = dict(
+            dim=12, alpha=0.35, num_walks=3, walk_length=9, window_size=4,
+            negative=7, epochs=2, lr=0.05, min_lr=2e-4, batch_size=96,
+            partition_eps=0.2, strategy="s2", incremental_partition=True,
+            partition_cut_slack=0.75, weighted_changes=True, walk_p=0.5,
+            walk_q=2.0, workers=3, chunk_starts=17, negative_prefetch=4,
+            backend="python",
+        )
+        default = dataclasses.asdict(GloDyNEConfig())
+        assert set(non_default) == set(default)
+        for name, value in non_default.items():
+            assert value != default[name], name
+
+        model = GloDyNE(config=GloDyNEConfig(**non_default), seed=0)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(model, path)
+        restored = load_checkpoint(path)
+        assert dataclasses.asdict(restored.config) == dataclasses.asdict(
+            model.config
+        )
 
     def test_resume_continues_stream(self, tiny_network, tmp_path):
         """A restored model keeps consuming snapshots without error and
