@@ -576,8 +576,6 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
     # 0 (or negative) disables the idle-connection timeout: keep-alive
     # clients may then hold sockets open indefinitely.
     idle_timeout = args.idle_timeout if args.idle_timeout > 0 else None
-    if args.shards > 1:
-        return _serve_http_sharded(args, services, idle_timeout)
     daemon = EmbeddingDaemon(
         services,
         max_batch=args.max_batch,
@@ -616,77 +614,6 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
         asyncio.run(run())
     except KeyboardInterrupt:
         print("interrupted — shutting down")
-    return 0
-
-
-def _serve_http_sharded(
-    args: argparse.Namespace, services: dict, idle_timeout: float | None
-) -> int:
-    """The ``serve-http --shards N`` flow: split, spawn, route, supervise.
-
-    Each loaded store splits into ``N`` disjoint shard views
-    (partition cells when published, stable node hash otherwise); one
-    worker process serves each shard and a :class:`ShardRouter` front
-    door scatter-gathers queries across them. Teardown terminates the
-    workers even when the router path raises.
-    """
-    import asyncio
-
-    from repro.serving.shards import split_store
-    from repro.server import ShardRouter, shutdown_workers, spawn_workers
-
-    graphs: dict = {}
-    per_worker: list[dict] = [{} for _ in range(args.shards)]
-    for name, service in services.items():
-        try:
-            shard_stores, assignment = split_store(service.store, args.shards)
-        except ValueError as error:
-            raise SystemExit(f"cannot shard graph {name!r}: {error}") from None
-        graphs[name] = (service.store, assignment)
-        for shard_id, shard_store in enumerate(shard_stores):
-            per_worker[shard_id][name] = shard_store
-    handles = spawn_workers(
-        per_worker,
-        host="127.0.0.1",
-        backend=args.backend,
-        max_batch=args.max_batch,
-        window=args.batch_window_ms / 1e3,
-    )
-    try:
-        router = ShardRouter(
-            graphs,
-            [handle.spec for handle in handles],
-            idle_timeout=idle_timeout,
-        )
-
-        async def run() -> None:
-            await router.start(host=args.host, port=args.port)
-            print(
-                f"routing {len(graphs)} graph(s) across {args.shards} shard "
-                f"workers on http://{router.host}:{router.port}"
-            )
-            for handle in handles:
-                print(
-                    f"  {handle.spec.name} -> "
-                    f"http://{handle.spec.host}:{handle.spec.port} "
-                    f"(pid {handle.process.pid})"
-                )
-            print("endpoints: /healthz /stats "
-                  "/g/<name>/{knn,score,embed,versions,reload}")
-            try:
-                if args.max_seconds is not None:
-                    await asyncio.sleep(args.max_seconds)
-                else:
-                    await router.serve_forever()
-            finally:
-                await router.close()
-
-        try:
-            asyncio.run(run())
-        except KeyboardInterrupt:
-            print("interrupted — shutting down")
-    finally:
-        shutdown_workers(handles)
     return 0
 
 
@@ -851,12 +778,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--max-seconds", type=float, default=None,
         help="serve for this long then exit cleanly (smoke tests; "
         "default: forever)",
-    )
-    serve_http.add_argument(
-        "--shards", type=int, default=1,
-        help="run N shard worker processes behind a scatter-gather "
-        "router (1 = single-process daemon); shards follow published "
-        "partition cells when present, else a stable node hash",
     )
     serve_http.add_argument(
         "--idle-timeout", type=float, default=60.0,

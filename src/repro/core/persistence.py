@@ -6,14 +6,19 @@ captures everything Eq. (11) threads through time: the SGNS matrices, the
 vocabulary, the reservoir, and the previous snapshot.
 
 The format is a single ``.npz`` (numpy archive); node ids are stored via
-a repr/eval-free JSON column so arbitrary str/int ids survive.
+a repr/eval-free JSON column so arbitrary str/int ids survive. Both
+archive writers (checkpoints here, stores in :mod:`repro.serving.store`)
+go through :func:`write_npz_atomic`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import uuid
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -38,8 +43,32 @@ def decode_node_column(column: np.ndarray) -> list:
     return [json.loads(item) for item in column]
 
 
+def write_npz_atomic(path: str | Path, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write ``arrays`` as one ``.npz`` archive at exactly ``path``, atomically.
+
+    The archive is written to a temp file in ``path``'s directory,
+    flushed and fsynced, then ``os.replace``-d onto ``path``, so a
+    reader sees either the previous archive or the complete new one. A
+    write that fails partway leaves the previous archive in place and
+    removes the temp file. Writing through a handle also keeps
+    ``np.savez`` from appending ``.npz`` to a suffix-less ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            np.savez(handle, allow_pickle=True, **arrays)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(model: GloDyNE, path: str | Path) -> None:
-    """Serialise a GloDyNE instance to ``path`` (.npz).
+    """Serialise a GloDyNE instance to ``path`` (an ``.npz`` archive,
+    written atomically at exactly ``path``).
 
     Only JSON-encodable node ids (str, int, float, tuples thereof as
     lists) are supported — the same restriction as any on-disk format.
@@ -53,8 +82,7 @@ def save_checkpoint(model: GloDyNE, path: str | Path) -> None:
 
     config_json = json.dumps(dataclasses.asdict(model.config))
 
-    np.savez(
-        path,
+    arrays = dict(
         format_version=np.array([FORMAT_VERSION]),
         config=np.array([config_json], dtype=object),
         time_step=np.array([model.time_step]),
@@ -69,8 +97,8 @@ def save_checkpoint(model: GloDyNE, path: str | Path) -> None:
         prev_edge_w=np.array(
             [w for _, _, w in previous_edges], dtype=np.float64
         ),
-        allow_pickle=True,
     )
+    write_npz_atomic(path, arrays)
 
 
 def load_checkpoint(path: str | Path, seed: int | None = None) -> GloDyNE:

@@ -15,12 +15,7 @@ clients can share them:
   the LSH backend;
 * :class:`~repro.server.stats.ServerStats` — QPS, batch-size histogram,
   latency percentiles, hot-swap counters;
-* :mod:`repro.server.http` — the minimal HTTP framing layer;
-* :class:`~repro.server.sharding.ShardRouter` +
-  :mod:`repro.server.worker` — the multi-process tier: one worker
-  process per shard (``split_store``) behind a scatter-gather router
-  whose merged top-k is bit-identical to the single-process exact
-  answer (``serve-http --shards N``).
+* :mod:`repro.server.http` — the minimal HTTP framing layer.
 
 Start one from the CLI (``python -m repro serve-http --store
 main=store.npz``), or in-process::
@@ -35,40 +30,16 @@ telemetry.
 """
 
 from repro.server.batcher import MicroBatcher
-from repro.server.daemon import (
-    BaseHTTPDaemon,
-    EmbeddingDaemon,
-    GraphEntry,
-    HTTPError,
-)
+from repro.server.daemon import EmbeddingDaemon, GraphEntry, HTTPError
 from repro.server.http import ProtocolError, parse_node_id
-from repro.server.sharding import (
-    ShardRouter,
-    ShardSpec,
-    ShardUnavailable,
-    merge_topk,
-)
 from repro.server.stats import ServerStats
-from repro.server.worker import (
-    WorkerHandle,
-    shutdown_workers,
-    spawn_workers,
-)
 
 __all__ = [
-    "BaseHTTPDaemon",
     "EmbeddingDaemon",
     "GraphEntry",
     "HTTPError",
     "MicroBatcher",
     "ProtocolError",
     "ServerStats",
-    "ShardRouter",
-    "ShardSpec",
-    "ShardUnavailable",
-    "WorkerHandle",
-    "merge_topk",
     "parse_node_id",
-    "shutdown_workers",
-    "spawn_workers",
 ]

@@ -10,9 +10,7 @@ process and event loop:
 * ``GET /g/<name>/knn?node=..&k=..`` — similar-node lookup. Head
   queries ride the micro-batcher (:mod:`repro.server.batcher`);
   ``version=``-pinned queries time-travel through the store's exact
-  scan and bypass batching. ``vector=[..]`` (or a POST body with a
-  ``vector`` key) queries by raw vector instead of node id — the
-  scatter target of sharded serving (:mod:`repro.server.sharding`);
+  scan and bypass batching;
 * ``GET /g/<name>/score?u=..&v=..`` — edge scoring (``metric=cosine``
   or ``dot``);
 * ``GET /g/<name>/embed?node=..`` — the raw embedding vector;
@@ -35,7 +33,7 @@ Connections are keep-alive with an idle read timeout
 without sending a request is answered ``408`` and disconnected, so
 silent clients cannot pin connection tasks forever.
 
-A graph whose store has no published versions yet (a shard worker can
+A graph whose store has no published versions yet (the daemon can
 start before its trainer's first publish) answers ``503`` on
 ``knn``/``score``/``embed`` rather than surfacing an internal error.
 
@@ -47,7 +45,6 @@ Node ids in URLs use the JSON-ish convention of the CLI
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from typing import Hashable, Mapping
 
@@ -90,232 +87,6 @@ class HTTPError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = int(status)
-
-
-class BaseHTTPDaemon:
-    """Shared asyncio HTTP lifecycle: bind, keep-alive loop, dispatch.
-
-    Everything transport: the listening socket, per-connection tasks,
-    the keep-alive read loop with its idle timeout, request dispatch
-    with error → status mapping, and the common query-parameter
-    helpers. Subclasses (:class:`EmbeddingDaemon`, the shard router in
-    :mod:`repro.server.sharding`) implement :meth:`_route`.
-
-    Parameters
-    ----------
-    idle_timeout:
-        Seconds a keep-alive connection may idle between requests
-        before being answered ``408`` and closed (``> 0``); ``None``
-        waits forever (trusted internal links, e.g. router → worker).
-    latency_window:
-        Request latencies retained for the ``/stats`` percentiles.
-    """
-
-    def __init__(
-        self,
-        *,
-        idle_timeout: float | None = DEFAULT_IDLE_TIMEOUT,
-        latency_window: int = 2048,
-    ) -> None:
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError(
-                "idle_timeout must be positive seconds, or None to wait "
-                "forever"
-            )
-        self.idle_timeout = idle_timeout
-        self.stats = ServerStats(latency_window=latency_window)
-        self._server: asyncio.Server | None = None
-        self._connections: set[asyncio.Task] = set()
-        self.host: str | None = None
-        self.port: int | None = None
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind and start accepting connections (``port=0``: ephemeral).
-
-        The bound address is exposed as :attr:`host` / :attr:`port`.
-        """
-        if self._server is not None:
-            raise RuntimeError("daemon is already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-
-    async def serve_forever(self) -> None:
-        """Block serving until cancelled (pairs with :meth:`start`)."""
-        if self._server is None:
-            raise RuntimeError("call start() first")
-        await self._server.serve_forever()
-
-    async def close(self) -> None:
-        """Stop accepting connections and release the port."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Open keep-alive connections outlive the listening socket; they
-        # must be torn down explicitly or their tasks leak into teardown.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One keep-alive connection: read requests until close/error.
-
-        An idle client — connected but not sending — is bounded by
-        ``idle_timeout``: the read is abandoned, the connection answered
-        ``408 Request Timeout`` and closed, and the task released. This
-        also caps slow-loris clients that trickle partial requests.
-        """
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            while True:
-                try:
-                    if self.idle_timeout is None:
-                        request = await read_request(reader)
-                    else:
-                        request = await asyncio.wait_for(
-                            read_request(reader), self.idle_timeout
-                        )
-                except asyncio.TimeoutError:
-                    self.stats.record_idle_timeout()
-                    writer.write(
-                        render_response(
-                            408,
-                            {
-                                "error": "connection idle for "
-                                f"{self.idle_timeout:g}s without a "
-                                "complete request"
-                            },
-                            keep_alive=False,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                except ProtocolError as error:
-                    self.stats.record_protocol_error()
-                    writer.write(
-                        render_response(
-                            error.status, {"error": str(error)}, keep_alive=False
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                started = time.perf_counter()
-                status, payload = await self._dispatch(request)
-                self.stats.record_request(
-                    status, time.perf_counter() - started
-                )
-                writer.write(
-                    render_response(
-                        status, payload, keep_alive=request.keep_alive
-                    )
-                )
-                await writer.drain()
-                if not request.keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown
-                pass
-
-    async def _dispatch(self, request: Request) -> tuple[int, object]:
-        """Route one request; returns ``(status, JSON payload)``."""
-        try:
-            return 200, await self._route(request)
-        except HTTPError as error:
-            return error.status, {"error": str(error)}
-        except KeyError as error:
-            # Unknown node ids surface as KeyError from the store layer.
-            return 404, {"error": str(error.args[0]) if error.args else "not found"}
-        except LookupError as error:
-            return 404, {"error": str(error)}
-        except ValueError as error:
-            return 400, {"error": str(error)}
-        except Exception as error:  # pragma: no cover - defensive
-            return 500, {"error": f"{type(error).__name__}: {error}"}
-
-    async def _route(self, request: Request) -> object:
-        """Resolve and run the handler for ``request`` (subclass hook)."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _require(request: Request, method: str) -> None:
-        """405 unless the request used ``method``."""
-        if request.method != method:
-            raise HTTPError(
-                405, f"{request.path} requires {method}, got {request.method}"
-            )
-
-    # ------------------------------------------------------------------
-    # parameter parsing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _node_param(request: Request, name: str):
-        raw = request.query.get(name)
-        if raw is None:
-            raise HTTPError(400, f"missing required query parameter {name!r}")
-        return parse_node_id(raw)
-
-    @staticmethod
-    def _int_param(
-        request: Request, name: str, *, default: int, minimum: int
-    ) -> int:
-        raw = request.query.get(name)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise HTTPError(400, f"{name} must be an integer, got {raw!r}") from None
-        if value < minimum:
-            raise HTTPError(400, f"{name} must be >= {minimum}, got {value}")
-        return value
-
-    @staticmethod
-    def _bool_param(request: Request, name: str, *, default: bool) -> bool:
-        raw = request.query.get(name)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes"):
-            return True
-        if lowered in ("0", "false", "no"):
-            return False
-        raise HTTPError(400, f"{name} must be a boolean, got {raw!r}")
-
-    @staticmethod
-    def _version_param(request: Request) -> int | None:
-        raw = request.query.get("version")
-        if raw is None or raw == "":
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise HTTPError(
-                400, f"version must be an integer, got {raw!r}"
-            ) from None
 
 
 class GraphEntry:
@@ -420,7 +191,7 @@ class GraphEntry:
         return payload
 
 
-class EmbeddingDaemon(BaseHTTPDaemon):
+class EmbeddingDaemon:
     """Async HTTP daemon multiplexing named embedding services.
 
     Parameters
@@ -437,10 +208,11 @@ class EmbeddingDaemon(BaseHTTPDaemon):
         next batch dispatch or an explicit ``/reload``). Non-positive
         values are rejected — a zero sleep would busy-spin the loop.
     idle_timeout:
-        Keep-alive idle read timeout in seconds, answered ``408``
-        (see :class:`BaseHTTPDaemon`); ``None`` waits forever — shard
-        workers run that way so the router's pooled connections are
-        never closed under it.
+        Seconds a keep-alive connection may idle between requests
+        before being answered ``408`` and closed (``> 0``); ``None``
+        waits forever (what ``serve-http --idle-timeout 0`` selects).
+    latency_window:
+        Request latencies retained for the ``/stats`` percentiles.
 
     Examples
     --------
@@ -468,7 +240,17 @@ class EmbeddingDaemon(BaseHTTPDaemon):
                 "reload_interval must be positive seconds, or None to "
                 "disable the background poller"
             )
-        super().__init__(idle_timeout=idle_timeout, latency_window=latency_window)
+        if idle_timeout is not None and idle_timeout <= 0:
+            raise ValueError(
+                "idle_timeout must be positive seconds, or None to wait "
+                "forever"
+            )
+        self.idle_timeout = idle_timeout
+        self.stats = ServerStats(latency_window=latency_window)
+        self._server: asyncio.Server | None = None
+        self._connections: set[asyncio.Task] = set()
+        self.host: str | None = None
+        self.port: int | None = None
         self.graphs: dict[str, GraphEntry] = {}
         self._max_batch = max_batch
         self._window = window
@@ -506,15 +288,29 @@ class EmbeddingDaemon(BaseHTTPDaemon):
         return entry
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind and accept (see :meth:`BaseHTTPDaemon.start`); also
-        starts the background hot-reload poller unless
+        """Bind and start accepting connections (``port=0``: ephemeral).
+
+        The bound address is exposed as :attr:`host` / :attr:`port`.
+        Also starts the background hot-reload poller unless
         ``reload_interval`` is None.
         """
-        await super().start(host=host, port=port)
+        if self._server is not None:
+            raise RuntimeError("daemon is already started")
+        self._server = await asyncio.start_server(
+            self._handle_connection, host=host, port=port
+        )
+        sockname = self._server.sockets[0].getsockname()
+        self.host, self.port = sockname[0], sockname[1]
         if self.reload_interval is not None:
             self._reload_task = asyncio.get_running_loop().create_task(
                 self._reload_poller()
             )
+
+    async def serve_forever(self) -> None:
+        """Block serving until cancelled (pairs with :meth:`start`)."""
+        if self._server is None:
+            raise RuntimeError("call start() first")
+        await self._server.serve_forever()
 
     async def close(self) -> None:
         """Stop accepting, drain pending batches, and release the port."""
@@ -527,7 +323,17 @@ class EmbeddingDaemon(BaseHTTPDaemon):
             self._reload_task = None
         for entry in self.graphs.values():
             entry.batcher.flush()
-        await super().close()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        # Open keep-alive connections outlive the listening socket; they
+        # must be torn down explicitly or their tasks leak into teardown.
+        for task in list(self._connections):
+            task.cancel()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
+        self._connections.clear()
 
     def _note_reload_error(self, name: str, error: Exception) -> None:
         """Record a reload failure's message for ``/healthz`` surfacing."""
@@ -550,6 +356,97 @@ class EmbeddingDaemon(BaseHTTPDaemon):
                 except Exception as error:
                     self.stats.reload_errors += 1
                     self._note_reload_error(entry.name, error)
+
+    # ------------------------------------------------------------------
+    # connection handling
+    # ------------------------------------------------------------------
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """One keep-alive connection: read requests until close/error.
+
+        An idle client — connected but not sending — is bounded by
+        ``idle_timeout``: the read is abandoned, the connection answered
+        ``408 Request Timeout`` and closed, and the task released. This
+        also caps slow-loris clients that trickle partial requests.
+        """
+        task = asyncio.current_task()
+        if task is not None:
+            self._connections.add(task)
+        try:
+            while True:
+                try:
+                    if self.idle_timeout is None:
+                        request = await read_request(reader)
+                    else:
+                        request = await asyncio.wait_for(
+                            read_request(reader), self.idle_timeout
+                        )
+                except asyncio.TimeoutError:
+                    self.stats.record_idle_timeout()
+                    writer.write(
+                        render_response(
+                            408,
+                            {
+                                "error": "connection idle for "
+                                f"{self.idle_timeout:g}s without a "
+                                "complete request"
+                            },
+                            keep_alive=False,
+                        )
+                    )
+                    await writer.drain()
+                    break
+                except ProtocolError as error:
+                    self.stats.record_protocol_error()
+                    writer.write(
+                        render_response(
+                            error.status, {"error": str(error)}, keep_alive=False
+                        )
+                    )
+                    await writer.drain()
+                    break
+                if request is None:
+                    break
+                started = time.perf_counter()
+                status, payload = await self._dispatch(request)
+                self.stats.record_request(
+                    status, time.perf_counter() - started
+                )
+                writer.write(
+                    render_response(
+                        status, payload, keep_alive=request.keep_alive
+                    )
+                )
+                await writer.drain()
+                if not request.keep_alive:
+                    break
+        except (ConnectionError, asyncio.CancelledError):
+            pass
+        finally:
+            if task is not None:
+                self._connections.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover - teardown
+                pass
+
+    async def _dispatch(self, request: Request) -> tuple[int, object]:
+        """Route one request; returns ``(status, JSON payload)``."""
+        try:
+            return 200, await self._route(request)
+        except HTTPError as error:
+            return error.status, {"error": str(error)}
+        except KeyError as error:
+            # Unknown node ids surface as KeyError from the store layer.
+            return 404, {"error": str(error.args[0]) if error.args else "not found"}
+        except LookupError as error:
+            return 404, {"error": str(error)}
+        except ValueError as error:
+            return 400, {"error": str(error)}
+        except Exception as error:  # pragma: no cover - defensive
+            return 500, {"error": f"{type(error).__name__}: {error}"}
 
     # ------------------------------------------------------------------
     # routing
@@ -576,19 +473,66 @@ class EmbeddingDaemon(BaseHTTPDaemon):
             }.get(parts[2])
             if handler is None:
                 raise HTTPError(404, f"unknown endpoint {parts[2]!r}")
-            if parts[2] == "knn":
-                # Vector queries may POST (a JSON body carries any dim;
-                # the request line could not); node lookups stay GET.
-                if request.method not in ("GET", "POST"):
-                    raise HTTPError(
-                        405,
-                        f"{request.path} requires GET or POST, "
-                        f"got {request.method}",
-                    )
-            else:
-                self._require(request, "POST" if parts[2] == "reload" else "GET")
+            self._require(request, "POST" if parts[2] == "reload" else "GET")
             return await handler(entry, request)
         raise HTTPError(404, f"no route for {request.path!r}")
+
+    @staticmethod
+    def _require(request: Request, method: str) -> None:
+        """405 unless the request used ``method``."""
+        if request.method != method:
+            raise HTTPError(
+                405, f"{request.path} requires {method}, got {request.method}"
+            )
+
+    # ------------------------------------------------------------------
+    # parameter parsing
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _node_param(request: Request, name: str):
+        raw = request.query.get(name)
+        if raw is None:
+            raise HTTPError(400, f"missing required query parameter {name!r}")
+        return parse_node_id(raw)
+
+    @staticmethod
+    def _int_param(
+        request: Request, name: str, *, default: int, minimum: int
+    ) -> int:
+        raw = request.query.get(name)
+        if raw is None:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            raise HTTPError(400, f"{name} must be an integer, got {raw!r}") from None
+        if value < minimum:
+            raise HTTPError(400, f"{name} must be >= {minimum}, got {value}")
+        return value
+
+    @staticmethod
+    def _bool_param(request: Request, name: str, *, default: bool) -> bool:
+        raw = request.query.get(name)
+        if raw is None:
+            return default
+        lowered = raw.lower()
+        if lowered in ("1", "true", "yes"):
+            return True
+        if lowered in ("0", "false", "no"):
+            return False
+        raise HTTPError(400, f"{name} must be a boolean, got {raw!r}")
+
+    @staticmethod
+    def _version_param(request: Request) -> int | None:
+        raw = request.query.get("version")
+        if raw is None or raw == "":
+            return None
+        try:
+            return int(raw)
+        except ValueError:
+            raise HTTPError(
+                400, f"version must be an integer, got {raw!r}"
+            ) from None
 
     # ------------------------------------------------------------------
     # endpoint handlers
@@ -614,7 +558,7 @@ class EmbeddingDaemon(BaseHTTPDaemon):
     def _require_published(entry: GraphEntry) -> None:
         """503 while the graph's store has nothing published yet.
 
-        A shard worker can come up before its trainer's first publish;
+        The daemon can come up before its trainer's first publish;
         until then query routes are *unavailable* (retryable), not
         erroring — and ``/healthz`` / ``/versions`` still answer.
         """
@@ -626,10 +570,6 @@ class EmbeddingDaemon(BaseHTTPDaemon):
 
     async def _knn(self, entry: GraphEntry, request: Request) -> dict:
         self._require_published(entry)
-        vector = self._vector_query(request)
-        if vector is not None:
-            return self._knn_by_vector(entry, request, vector)
-        self._require(request, "GET")
         node = self._node_param(request, "node")
         k = self._int_param(request, "k", default=10, minimum=1)
         exclude_self = self._bool_param(request, "exclude_self", default=True)
@@ -652,49 +592,6 @@ class EmbeddingDaemon(BaseHTTPDaemon):
         return {
             "graph": entry.name,
             "node": node,
-            "k": k,
-            "version": served,
-            "neighbors": [
-                {"node": neighbor, "score": score} for neighbor, score in result
-            ],
-        }
-
-    def _knn_by_vector(
-        self, entry: GraphEntry, request: Request, vector: list[float]
-    ) -> dict:
-        """kNN by raw query vector — the router's scatter target.
-
-        Unbatched (every scattered vector is distinct, so coalescing
-        buys nothing) and self-exclusion-free (there is no self). A
-        failing hot reload degrades to the last indexed version, like
-        the batcher does for node queries.
-        """
-        k = self._int_param(request, "k", default=10, minimum=1)
-        version = self._version_param(request)
-        self.stats.record_knn()
-        if version is None:
-            try:
-                entry.maybe_reload()
-            except Exception as error:
-                self.stats.reload_errors += 1
-                self._note_reload_error(entry.name, error)
-                indexed = entry.service.indexed_version
-                if indexed is None:
-                    raise HTTPError(
-                        503,
-                        f"graph {entry.name!r} cannot index its head and "
-                        f"has no previous version to serve: {error}",
-                    ) from None
-                version = indexed
-        result = entry.service.query_knn_vector(vector, k, version=version)
-        served = (
-            entry.service.indexed_version
-            if version is None
-            else entry.service.store.resolve_version(version)
-        )
-        return {
-            "graph": entry.name,
-            "node": None,
             "k": k,
             "version": served,
             "neighbors": [
@@ -756,47 +653,3 @@ class EmbeddingDaemon(BaseHTTPDaemon):
             "indexed_version": entry.service.indexed_version,
             "rows_rehashed": touched,
         }
-
-    # ------------------------------------------------------------------
-    # vector-query parsing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _vector_query(request: Request) -> list[float] | None:
-        """The ``vector`` of a by-vector kNN request, or None.
-
-        Two carriers: a ``vector=[..]`` JSON query parameter (small
-        dims, human use) or a POST body ``{"vector": [..]}`` (any dim —
-        the router's scatter path; request lines are length-capped).
-        JSON float round-tripping of float32 values is exact, so a
-        vector survives the HTTP hop bit for bit.
-        """
-        raw: object | None = None
-        if request.method == "POST":
-            if not request.body:
-                raise HTTPError(400, "POST /knn requires a JSON body")
-            try:
-                body = json.loads(request.body)
-            except ValueError:
-                raise HTTPError(400, "POST /knn body is not valid JSON") from None
-            if not isinstance(body, dict) or "vector" not in body:
-                raise HTTPError(400, 'POST /knn body needs a "vector" key')
-            raw = body["vector"]
-            # Body-carried parameters join the query map so the shared
-            # _int_param/_version_param helpers see them.
-            for key in ("k", "version"):
-                if key in body and body[key] is not None:
-                    request.query.setdefault(key, str(body[key]))
-        elif "vector" in request.query:
-            try:
-                raw = json.loads(request.query["vector"])
-            except ValueError:
-                raise HTTPError(
-                    400, "vector must be a JSON array of numbers"
-                ) from None
-        if raw is None:
-            return None
-        if not isinstance(raw, list) or not raw or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-        ):
-            raise HTTPError(400, "vector must be a non-empty array of numbers")
-        return [float(x) for x in raw]

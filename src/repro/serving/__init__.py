@@ -12,9 +12,6 @@ fresh Z^t per snapshot or flush; this package is the consumption side:
   kNN with incremental refresh (only moved rows re-hash);
 * :class:`~repro.serving.service.EmbeddingService` — cached kNN queries,
   link scoring, and time-travel reads;
-* :func:`~repro.serving.shards.split_store` — per-shard store views
-  (partition cells ≙ shards) behind the multi-process serving tier
-  (:mod:`repro.server.sharding`);
 * :mod:`~repro.serving.storage` — the tiered-store machinery: mmap
   cold-version spill (:class:`~repro.serving.storage.ColdVersionStorage`),
   the int8 candidate-scan codec, and
@@ -28,7 +25,6 @@ from repro.serving.index import (
     unit_rows,
 )
 from repro.serving.service import EmbeddingService
-from repro.serving.shards import ShardAssignment, split_store, stable_shard
 from repro.serving.storage import (
     ColdVersionStorage,
     CompactionPolicy,
@@ -51,14 +47,11 @@ __all__ = [
     "EmbeddingService",
     "EmbeddingStore",
     "LSHIndex",
-    "ShardAssignment",
     "VersionRecord",
     "dequantize_int8",
     "load_store",
     "quantize_int8",
     "quantized_scores",
     "save_store",
-    "split_store",
-    "stable_shard",
     "unit_rows",
 ]

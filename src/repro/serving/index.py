@@ -99,10 +99,11 @@ def _cosine_scores(unit_matrix: np.ndarray, unit_query: np.ndarray) -> np.ndarra
     choice — and therefore last-ulp rounding — depends on the matrix row
     count and a row's position in the block layout: the same row can
     score differently inside a sliced matrix than inside the full one.
-    ``einsum`` reduces every row independently of the matrix shape,
-    which is what lets a sharded exact scan
-    (:mod:`repro.serving.shards`) reproduce the unsharded scan bit for
-    bit. ~1.4x the gemv cost; only the per-query exact paths pay it.
+    ``einsum`` reduces every row independently of the matrix shape, so
+    a row scores the same bits wherever it is scanned: IVF's per-cell
+    scans at full probe reproduce the exact scan, and the candidate
+    re-ranks of batched and unbatched queries agree. ~1.4x the gemv
+    cost; only the per-query exact paths pay it.
     """
     return np.einsum("ij,j->i", unit_matrix, unit_query)
 
@@ -264,8 +265,8 @@ class BruteForceIndex:
         q = _unit_vector(vector)
         if self.quantized:
             return self._quantized_query(q, k)
-        # Shape-independent reduction: a shard-sliced matrix scores its
-        # rows exactly like the full matrix does (see _cosine_scores).
+        # Shape-independent reduction: each row scores the same bits as
+        # in the IVF and LSH candidate re-ranks (see _cosine_scores).
         scores = _cosine_scores(self._unit, q)
         rows = np.arange(scores.size, dtype=np.int64)
         best = _top_k(scores, rows, k)

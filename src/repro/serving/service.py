@@ -155,9 +155,9 @@ class EmbeddingService:
         the per-row cell ids GloDyNE's Step 1 partitioner emitted — so
         the IVF cell layout follows the trainer's own partition.
 
-        An empty store (the trainer has not published yet — a shard
-        worker can start before its first publish) is a clean no-op, not
-        an error: there is nothing to index, so 0 rows were touched.
+        An empty store (the trainer has not published yet — the daemon
+        can start before its first publish) is a clean no-op, not an
+        error: there is nothing to index, so 0 rows were touched.
         """
         if self.store.num_versions == 0:
             return 0
@@ -380,60 +380,6 @@ class EmbeddingService:
                 results[i] = result
         return [list(result) for result in results]
 
-    def query_knn_vector(
-        self,
-        vector: np.ndarray,
-        k: int = 10,
-        *,
-        version: int | None = None,
-    ) -> list[tuple[Node, float]]:
-        """The ``k`` nodes most cosine-similar to an arbitrary query vector.
-
-        The scatter side of sharded serving (:mod:`repro.serving.shards`):
-        a shard router ships the query *vector* to workers that do not
-        hold the query node, so workers answer by vector, not by id.
-        There is no self-node to exclude and no result caching — every
-        scattered vector is distinct, so cache keys would never repeat.
-
-        Parameters
-        ----------
-        vector:
-            Query vector of shape ``(dim,)``; any float dtype (cast to
-            float32, as :meth:`query_knn` casts stored rows).
-        k:
-            Neighbours to return, ``>= 1``.
-        version:
-            ``None`` follows the store's head through the index; an
-            explicit version time-travels via the exact scan.
-
-        Returns
-        -------
-        list of (node, float)
-            ``(node, cosine)`` pairs, best first, ties broken by
-            ascending row — bit-identical to the rows :meth:`query_knn`
-            would rank for a node embedded at exactly this vector.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if version is None:
-            self.refresh()  # lazy build / incremental follow-head; no-op
-        record = self.store.version(version)
-        vector = np.asarray(vector, dtype=np.float32).ravel()
-        if vector.shape[0] != record.dim:
-            raise ValueError(
-                f"query vector has dim {vector.shape[0]}, "
-                f"version {record.version} has dim {record.dim}"
-            )
-        use_index = version is None and self._indexed_version == record.version
-        if use_index:
-            rows, scores = self.index.query(vector, k)
-        else:
-            rows, scores = self._exact_scan(record, vector, k)
-        return [
-            (record.nodes[int(row)], float(score))
-            for row, score in zip(rows, scores)
-        ]
-
     def score_edge(
         self,
         u: Node,
@@ -527,8 +473,8 @@ class EmbeddingService:
         else:
             self._unit_cache.move_to_end(record.version)
         # Shape-independent reduction (see index._cosine_scores): a
-        # shard's slice of this matrix scores its rows exactly like the
-        # full matrix does, so sharded answers merge bit-identically.
+        # pinned-version scan scores each row with the same bits as the
+        # index's exact paths.
         scores = _cosine_scores(unit, _unit_vector(vector))
         rows = np.arange(scores.size, dtype=np.int64)
         best = _top_k(scores, rows, k)

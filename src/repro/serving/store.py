@@ -35,7 +35,11 @@ import json
 import numpy as np
 
 from repro.base import EmbeddingMap
-from repro.core.persistence import decode_node_column, encode_node_column
+from repro.core.persistence import (
+    decode_node_column,
+    encode_node_column,
+    write_npz_atomic,
+)
 from repro.serving.storage import ColdVersionStorage, CompactionPolicy
 
 Node = Hashable
@@ -484,8 +488,8 @@ class EmbeddingStore:
         """Pickle without the page cache (memmaps must not ship).
 
         Pickling an ``np.memmap`` would materialise the cold matrix into
-        the payload; a spawned worker (:mod:`repro.server.worker`)
-        re-opens the shared spill files instead.
+        the payload; the unpickled store (e.g. in a spawned process)
+        pages versions back in from the same spill files instead.
         """
         state = self.__dict__.copy()
         state["_paged"] = OrderedDict()
@@ -506,7 +510,8 @@ class EmbeddingStore:
 # persistence (single .npz per store)
 # ----------------------------------------------------------------------
 def save_store(store: EmbeddingStore, path: str | Path) -> None:
-    """Serialise a store to one ``.npz`` archive.
+    """Serialise a store to one ``.npz`` archive, written atomically at
+    exactly ``path`` (see :func:`~repro.core.persistence.write_npz_atomic`).
 
     Layout: a JSON manifest (format version + per-version time step and
     metadata, plus the tombstoned ids of a compacted store) and, per
@@ -535,11 +540,7 @@ def save_store(store: EmbeddingStore, path: str | Path) -> None:
     if tombstones:
         manifest["tombstones"] = list(tombstones)
     arrays["manifest"] = np.array([json.dumps(manifest)], dtype=object)
-    # Write through a handle so the archive lands at exactly ``path``
-    # (np.savez silently appends .npz to suffix-less names otherwise,
-    # leaving the caller's path dangling).
-    with open(path, "wb") as handle:
-        np.savez(handle, allow_pickle=True, **arrays)
+    write_npz_atomic(path, arrays)
 
 
 def load_store(

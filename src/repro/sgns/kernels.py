@@ -451,7 +451,7 @@ def resolve_backend(name: str = "auto") -> KernelBackend:
 
     Resolution is deliberately *lazy and per-process*: configs carry only
     the string, so pickled configs shipped to spawned workers (the
-    parallel walk engine, shard servers) re-resolve independently —
+    parallel walk engine's pool) re-resolve independently —
     ``auto`` silently selects ``python`` wherever numba is absent and
     ``numba`` wherever it is present.
     """

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from repro.core import GloDyNE, GloDyNEConfig
 from repro.core.persistence import load_checkpoint, save_checkpoint
+from repro.serving import EmbeddingStore, load_store, save_store
 
 KWARGS = dict(
     dim=8, alpha=0.3, num_walks=2, walk_length=8, window_size=2, epochs=1,
@@ -120,4 +122,62 @@ class TestRoundTrip:
         restored = load_checkpoint(path)
         np.testing.assert_array_equal(
             model.model.embedding("a"), restored.model.embedding("a")
+        )
+
+    def test_suffixless_path_round_trips(self, tiny_network, tmp_path):
+        # np.savez appends .npz to a bare name; the checkpoint must land
+        # at exactly the path it is loaded back from.
+        model = GloDyNE(**KWARGS, seed=0)
+        model.update(tiny_network[0])
+        path = tmp_path / "ckpt"
+        save_checkpoint(model, path)
+        restored = load_checkpoint(path)
+        assert restored.time_step == model.time_step
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+def _torn_savez(file, *args, **kwargs):
+    """Stand-in for np.savez that dies after writing part of an archive."""
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, "wb") as handle:
+            handle.write(b"PK\x03\x04 half an archive")
+    else:
+        file.write(b"PK\x03\x04 half an archive")
+    raise OSError("simulated disk full")
+
+
+class TestAtomicWrite:
+    """A write that fails partway keeps the previous archive loadable."""
+
+    def test_failed_checkpoint_keeps_previous(
+        self, tiny_network, tmp_path, monkeypatch
+    ):
+        model = GloDyNE(**KWARGS, seed=0)
+        model.update(tiny_network[0])
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(model, path)
+        model.update(tiny_network[1])
+        monkeypatch.setattr(np, "savez", _torn_savez)
+        with pytest.raises(OSError, match="simulated"):
+            save_checkpoint(model, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+        assert load_checkpoint(path).time_step == 1
+
+    def test_failed_store_save_keeps_previous(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        store = EmbeddingStore()
+        store.publish((list(range(6)), rng.standard_normal((6, 4))))
+        path = tmp_path / "store.npz"
+        save_store(store, path)
+        store.publish((list(range(6)), rng.standard_normal((6, 4))))
+        monkeypatch.setattr(np, "savez", _torn_savez)
+        with pytest.raises(OSError, match="simulated"):
+            save_store(store, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["store.npz"]
+        restored = load_store(path)
+        assert restored.num_versions == 1
+        np.testing.assert_array_equal(
+            restored.latest.matrix, store.version(0).matrix
         )

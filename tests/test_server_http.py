@@ -15,6 +15,7 @@ import re
 import threading
 import time
 from contextlib import redirect_stdout
+from urllib.parse import quote
 from urllib.request import urlopen
 
 import numpy as np
@@ -283,6 +284,7 @@ def test_multi_store_routing_is_independent():
 
 def test_malformed_requests_get_4xx():
     store = make_store(num_nodes=16)
+    vector = quote(json.dumps([float(x) for x in store.latest.vector(1)]))
 
     async def scenario(daemon):
         port = daemon.port
@@ -298,6 +300,8 @@ def test_malformed_requests_get_4xx():
             "bad method": await fetch(port, "/healthz", method="POST"),
             "bad metric": await fetch(port, "/g/main/score?u=1&v=2&metric=x"),
             "bad bool": await fetch(port, "/g/main/knn?node=1&exclude_self=maybe"),
+            "knn by POST": await fetch(port, "/g/main/knn?node=1", method="POST"),
+            "knn by vector": await fetch(port, f"/g/main/knn?vector={vector}"),
         }
         garbled = await raw_exchange(port, b"NOT-HTTP\r\n\r\n")
         bad_version_line = await raw_exchange(
@@ -320,6 +324,8 @@ def test_malformed_requests_get_4xx():
         "bad method": 405,
         "bad metric": 400,
         "bad bool": 400,
+        "knn by POST": 405,
+        "knn by vector": 400,
     }
     for label, (status, payload) in cases.items():
         assert status == expected[label], (label, status, payload)
@@ -524,7 +530,7 @@ def test_daemon_rejects_nonpositive_idle_timeout():
 
     with pytest.raises(ValueError, match="idle_timeout"):
         EmbeddingDaemon({"main": EmbeddingService(store)}, idle_timeout=0)
-    # None is the documented "wait forever" mode (shard workers).
+    # None is the documented "wait forever" mode (--idle-timeout 0).
     EmbeddingDaemon({"main": EmbeddingService(store)}, idle_timeout=None)
 
 
@@ -565,57 +571,6 @@ def test_empty_service_refresh_is_a_noop():
     service = EmbeddingService(EmbeddingStore())
     assert service.refresh() == 0
     assert service.indexed_version is None
-
-
-# ----------------------------------------------------------------------
-# kNN by raw vector (the router's scatter target)
-# ----------------------------------------------------------------------
-def test_knn_by_vector_get_and_post_match_direct_service():
-    store = make_store(num_nodes=24, dim=6)
-    record = store.latest
-    vector = [float(x) for x in record.vector(5)]
-    reference = EmbeddingService(store)
-
-    async def scenario(daemon):
-        from urllib.parse import quote
-
-        encoded = quote(json.dumps(vector), safe="")
-        got = await fetch(daemon.port, f"/g/main/knn?vector={encoded}&k=4")
-        posted = await fetch(
-            daemon.port,
-            "/g/main/knn",
-            method="POST",
-            body={"vector": vector, "k": 4},
-        )
-        pinned = await fetch(
-            daemon.port,
-            "/g/main/knn",
-            method="POST",
-            body={"vector": vector, "k": 4, "version": 0},
-        )
-        bad = await fetch(
-            daemon.port, "/g/main/knn", method="POST", body={"vector": []}
-        )
-        return got, posted, pinned, bad
-
-    got, posted, pinned, bad = with_daemon(
-        {"main": EmbeddingService(store)}, scenario
-    )
-    expected_head = reference.query_knn_vector(np.asarray(vector), 4)
-    expected_pinned = reference.query_knn_vector(
-        np.asarray(vector), 4, version=0
-    )
-    for (status, payload), expected in (
-        (got, expected_head),
-        (posted, expected_head),
-        (pinned, expected_pinned),
-    ):
-        assert status == 200
-        assert payload["node"] is None
-        assert payload["version"] == 0
-        assert neighbors_as_pairs(payload) == expected
-    assert bad[0] == 400
-    assert "non-empty array" in bad[1]["error"]
 
 
 # ----------------------------------------------------------------------

@@ -414,8 +414,6 @@ class TestEmptyStoreGuard:
         service = EmbeddingService(EmbeddingStore())
         with pytest.raises(LookupError):
             service.query_knn(0, 3)
-        with pytest.raises(LookupError):
-            service.query_knn_vector(np.zeros(4), 3)
 
     def test_first_publish_after_empty_start_serves(self, streamed_store):
         store = EmbeddingStore()
@@ -426,32 +424,3 @@ class TestEmptyStoreGuard:
         node = record.nodes[0]
         reference = EmbeddingService(store)
         assert service.query_knn(node, 3) == reference.query_knn(node, 3)
-
-
-class TestQueryByVector:
-    """query_knn_vector: the scatter target of sharded serving."""
-
-    def test_matches_rows_query_knn_ranks(self, streamed_store):
-        service = EmbeddingService(streamed_store, backend="exact")
-        record = streamed_store.latest
-        for node in list(record.nodes)[:8]:
-            by_vector = service.query_knn_vector(record.vector(node), 5)
-            # Same ranking as query_knn once the self-node (rank 0 for
-            # its own vector, similarity exactly 1.0) is dropped.
-            assert by_vector[0][0] == node
-            assert by_vector[1:5] == service.query_knn(node, 4)
-
-    def test_pinned_version_time_travels(self, streamed_store):
-        service = EmbeddingService(streamed_store, backend="exact")
-        record = streamed_store.version(0)
-        node = record.nodes[3]
-        pinned = service.query_knn_vector(record.vector(node), 4, version=0)
-        assert pinned[0][0] == node
-        assert pinned[1:4] == service.query_knn(node, 3, version=0)
-
-    def test_dim_mismatch_and_bad_k_rejected(self, streamed_store):
-        service = EmbeddingService(streamed_store)
-        with pytest.raises(ValueError, match="dim"):
-            service.query_knn_vector(np.zeros(3), 5)
-        with pytest.raises(ValueError, match="k must be"):
-            service.query_knn_vector(streamed_store.latest.matrix[0], 0)

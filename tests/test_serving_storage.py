@@ -31,7 +31,6 @@ from repro.serving import (
     quantize_int8,
     quantized_scores,
     save_store,
-    split_store,
     unit_rows,
 )
 
@@ -254,29 +253,6 @@ class TestCompaction:
                 np.asarray(store.version(v).matrix),
                 np.asarray(tiered.version(v).matrix),
             )
-
-
-class TestSplitStoreTiering:
-    def test_shards_inherit_tiering_and_tombstones(self, tmp_path):
-        store = EmbeddingStore(store_dir=tmp_path / "tier", hot_versions=1)
-        rng = np.random.default_rng(3)
-        for t in range(5):
-            nodes = list(range(12))
-            store.publish((nodes, rng.standard_normal((12, 6))), time_step=t)
-        store.compact(keep_head_n=2)
-        shards, _ = split_store(store, 2)
-        for i, shard in enumerate(shards):
-            assert shard.store_dir == tmp_path / "tier" / "shards" / f"shard-{i}"
-            assert shard.tombstones == store.tombstones
-            assert shard.num_versions == store.num_versions
-            assert shard.storage_info()["cold"] > 0
-
-    def test_plain_parent_keeps_plain_shards(self):
-        store = EmbeddingStore()
-        rng = np.random.default_rng(4)
-        store.publish((list(range(8)), rng.standard_normal((8, 4))))
-        shards, _ = split_store(store, 2)
-        assert all(shard.store_dir is None for shard in shards)
 
 
 class TestQuantizedIndexes:
