@@ -17,9 +17,13 @@ This bench drifts a preferential-attachment graph with small deltas
 Unlike the parallel benches, both paths are single-threaded, so the
 speedup gate is asserted in-bench even on a single-core recording host.
 
-Run standalone for a quick smoke (CI uses this)::
+Run standalone at the full profile, which asserts both gates (CI runs
+this on every push; it takes seconds)::
 
-    PYTHONPATH=src python benchmarks/bench_incremental_partition.py --tiny
+    PYTHONPATH=src python benchmarks/bench_incremental_partition.py
+
+``--tiny`` is a smaller smoke that reports the gates without asserting
+them.
 """
 
 from __future__ import annotations

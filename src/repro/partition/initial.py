@@ -36,15 +36,17 @@ def grow_initial_partition(
     if n < k:
         raise ValueError(f"cannot cut {n} vertices into {k} non-empty cells")
 
-    assignment = np.full(n, UNASSIGNED, dtype=np.int64)
+    indptr, indices, eweights, vweights = level.lists
+    assignment = [UNASSIGNED] * n
     total_weight = level.total_vweight
     # Budget per cell; remaining cells absorb rounding. Cells stop growing
     # at their budget, and the final cell takes everything left over.
     budget = total_weight / k
 
     unassigned = set(range(n))
-    visit_order = list(rng.permutation(n))
+    visit_order = rng.permutation(n).tolist()
     order_cursor = 0
+    lowest = 0  # no index below this one is unassigned
 
     for cell in range(k):
         if not unassigned:
@@ -68,15 +70,18 @@ def grow_initial_partition(
         cell_weight = 0
         # Max-heap on gain (edge weight into the cell); heapq is a min-heap
         # so gains are negated. Entries may be stale; staleness is checked
-        # on pop via the assignment array.
+        # on pop via the assignment list.
         frontier: list[tuple[float, int]] = [(0.0, seed)]
         is_last_cell = cell == k - 1
         while frontier or is_last_cell:
             if not frontier:
                 if not unassigned:
                     break
-                # Disconnected remainder: re-seed within the same cell.
-                frontier.append((0.0, min(unassigned)))
+                # Disconnected remainder: re-seed within the same cell
+                # from the lowest unassigned index.
+                while assignment[lowest] != UNASSIGNED:
+                    lowest += 1
+                frontier.append((0.0, lowest))
             _, vertex = heapq.heappop(frontier)
             if assignment[vertex] != UNASSIGNED:
                 continue
@@ -85,36 +90,34 @@ def grow_initial_partition(
                 break
             assignment[vertex] = cell
             unassigned.discard(vertex)
-            cell_weight += int(level.vweights[vertex])
+            cell_weight += vweights[vertex]
             if not is_last_cell and cell_weight >= budget:
                 break
-            for nbr, w in zip(
-                level.neighbors(vertex), level.neighbor_eweights(vertex)
-            ):
+            for j in range(indptr[vertex], indptr[vertex + 1]):
+                nbr = indices[j]
                 if assignment[nbr] == UNASSIGNED:
-                    heapq.heappush(frontier, (-float(w), int(nbr)))
+                    heapq.heappush(frontier, (-eweights[j], nbr))
 
     # Any stragglers (possible when budgets fill early): round-robin them
-    # into the lightest cells.
+    # into the lightest cells (lowest index on ties).
     if unassigned:
-        weights = np.zeros(k, dtype=np.int64)
-        np.add.at(
-            weights,
-            assignment[assignment != UNASSIGNED],
-            level.vweights[assignment != UNASSIGNED],
-        )
+        weights = [0] * k
+        for cell, weight in zip(assignment, vweights):
+            if cell != UNASSIGNED:
+                weights[cell] += weight
         for vertex in sorted(unassigned):
-            lightest = int(np.argmin(weights))
+            lightest = min(range(k), key=weights.__getitem__)
             assignment[vertex] = lightest
-            weights[lightest] += int(level.vweights[vertex])
+            weights[lightest] += vweights[vertex]
 
     # Non-emptiness repair: steal a vertex from the heaviest cell for any
     # empty cell (can only happen on adversarial weight distributions).
-    counts = np.bincount(assignment, minlength=k)
+    result = np.asarray(assignment, dtype=np.int64)
+    counts = np.bincount(result, minlength=k)
     for cell in np.flatnonzero(counts == 0):
         donor = int(np.argmax(counts))
-        movable = np.flatnonzero(assignment == donor)
-        assignment[movable[0]] = cell
+        movable = np.flatnonzero(result == donor)
+        result[movable[0]] = cell
         counts[donor] -= 1
         counts[cell] += 1
-    return assignment
+    return result

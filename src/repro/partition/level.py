@@ -10,6 +10,7 @@ edge cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +38,22 @@ class LevelGraph:
     def neighbor_eweights(self, idx: int) -> np.ndarray:
         return self.eweights[self.indptr[idx]: self.indptr[idx + 1]]
 
-    def degree(self, idx: int) -> int:
-        return int(self.indptr[idx + 1] - self.indptr[idx])
+    @cached_property
+    def lists(self) -> tuple[list[int], list[int], list[float], list[int]]:
+        """``(indptr, indices, eweights, vweights)`` as Python lists.
+
+        The partitioner's per-vertex loops index these rather than the
+        arrays: indexing a list returns a plain ``int``/``float``, while
+        indexing an array boxes a numpy scalar, which costs several times
+        more per access. Converted once per level, on first use; a level's
+        arrays are never mutated after construction.
+        """
+        return (
+            self.indptr.tolist(),
+            self.indices.tolist(),
+            self.eweights.tolist(),
+            self.vweights.tolist(),
+        )
 
 
 def level_graph_from_csr(csr) -> LevelGraph:

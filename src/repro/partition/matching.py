@@ -26,34 +26,31 @@ def heavy_edge_matching(
 
     Vertices are visited in random order. Each unmatched vertex picks its
     heaviest-edge unmatched neighbour whose combined vertex weight stays
-    under ``max_vweight``. Ties break toward lower combined weight to keep
-    coarse vertices uniform.
+    under ``max_vweight``. Ties keep the first heaviest neighbour in CSR
+    order, which is the lowest vertex index.
     """
     n = level.num_nodes
-    match = np.full(n, UNMATCHED, dtype=np.int64)
-    order = rng.permutation(n)
-    for u in order:
+    indptr, indices, eweights, vweights = level.lists
+    match = [UNMATCHED] * n
+    for u in rng.permutation(n).tolist():
         if match[u] != UNMATCHED:
             continue
-        nbrs = level.neighbors(u)
-        wgts = level.neighbor_eweights(u)
         best = UNMATCHED
         best_w = -np.inf
-        u_weight = level.vweights[u]
-        for v, w in zip(nbrs, wgts):
-            if match[v] != UNMATCHED or v == u:
+        room = max_vweight - vweights[u]
+        for j in range(indptr[u], indptr[u + 1]):
+            v = indices[j]
+            if match[v] != UNMATCHED or v == u or vweights[v] > room:
                 continue
-            if u_weight + level.vweights[v] > max_vweight:
-                continue
-            if w > best_w:
-                best_w = w
+            if eweights[j] > best_w:
+                best_w = eweights[j]
                 best = v
         if best == UNMATCHED:
             match[u] = u
         else:
             match[u] = best
             match[best] = u
-    return match
+    return np.asarray(match, dtype=np.int64)
 
 
 def matching_to_coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
@@ -63,15 +60,14 @@ def matching_to_coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
     id. Coarse ids are assigned in ascending order of the smaller fine id,
     keeping the map deterministic given the matching.
     """
-    n = match.size
-    coarse_of = np.full(n, UNMATCHED, dtype=np.int64)
+    partners = match.tolist()
+    coarse_of = [UNMATCHED] * len(partners)
     next_id = 0
-    for u in range(n):
+    for u, partner in enumerate(partners):
         if coarse_of[u] != UNMATCHED:
             continue
-        partner = match[u]
         coarse_of[u] = next_id
         if partner != u and partner != UNMATCHED:
             coarse_of[partner] = next_id
         next_id += 1
-    return coarse_of, next_id
+    return np.asarray(coarse_of, dtype=np.int64), next_id

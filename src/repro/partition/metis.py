@@ -166,7 +166,7 @@ def partition_graph(
             levels[level_idx], assignment, k, eps, max_passes=refinement_passes
         )
 
-    return _package(csr, assignment, k, eps)
+    return _package(csr, assignment, k, eps, cut=edge_cut(finest, assignment))
 
 
 def _package(
@@ -183,11 +183,10 @@ def _package(
     graph just to re-derive it.
     """
     cells: list[list[Node]] = [[] for _ in range(k)]
-    mapping: dict[Node, int] = {}
-    for idx, cell in enumerate(assignment):
-        node = csr.nodes[idx]
-        cells[int(cell)].append(node)
-        mapping[node] = int(cell)
+    cell_of = assignment.tolist()
+    for node, cell in zip(csr.nodes, cell_of):
+        cells[cell].append(node)
+    mapping: dict[Node, int] = dict(zip(csr.nodes, cell_of))
     if cut is None:
         level = level_graph_from_csr(csr)
         cut = edge_cut(level, assignment)

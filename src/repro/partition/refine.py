@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partition.level import LevelGraph
+from repro.partition.level import LevelGraph, cell_weights
 
 
 def balance_ceiling(total_weight: int, k: int, eps: float) -> float:
@@ -43,63 +43,78 @@ def refine_assignment(
     """Greedy boundary refinement; mutates and returns ``assignment``.
 
     ``candidates`` restricts the vertices considered for moves (the
-    incremental partitioner's dirty set); ``None`` sweeps every vertex,
-    which is the full multilevel path and must stay bit-identical to the
-    historical behaviour.
+    incremental partitioner's dirty set), swept in the given order;
+    ``None`` sweeps every vertex in index order, which is the full
+    multilevel path. A vertex moves to the adjacent cell with the
+    largest positive gain that stays under the Eq. (2) ceiling (first
+    such cell in neighbour order on ties), unless it is the last member
+    of its cell.
     """
     n = level.num_nodes
     if n == 0:
         return assignment
-    sweep = range(n) if candidates is None else [int(u) for u in candidates]
+    if candidates is None:
+        sweep = range(n)
+    else:
+        sweep = np.asarray(candidates, dtype=np.int64).tolist()
     ceiling = balance_ceiling(level.total_vweight, k, eps)
-    weights = np.zeros(k, dtype=np.int64)
-    np.add.at(weights, assignment, level.vweights)
-    counts = np.bincount(assignment, minlength=k)
+    indptr, indices, eweights, vweights = level.lists
+    cells = assignment.tolist()
+    weights = cell_weights(level, assignment, k).tolist()
+    counts = np.bincount(assignment, minlength=k).tolist()
+    # settled[u]: u has no positive-gain cell, and none of its neighbours
+    # has moved since that was found. Its connectivity is then unchanged,
+    # so re-examining it would find no move either; skipping it keeps
+    # every pass's moves exactly as a full re-scan would make them.
+    settled = [False] * n
 
     for _ in range(max_passes):
         moved = 0
         for u in sweep:
-            src = int(assignment[u])
-            nbrs = level.neighbors(u)
-            if nbrs.size == 0:
+            if settled[u]:
                 continue
-            wgts = level.neighbor_eweights(u)
-            nbr_cells = assignment[nbrs]
-            if np.all(nbr_cells == src):
-                continue  # interior vertex
-
+            start, end = indptr[u], indptr[u + 1]
+            src = cells[u]
             # Connectivity of u to each adjacent cell.
             link: dict[int, float] = {}
-            for cell, w in zip(nbr_cells, wgts):
-                cell = int(cell)
-                link[cell] = link.get(cell, 0.0) + float(w)
+            for v, w in zip(indices[start:end], eweights[start:end]):
+                cell = cells[v]
+                link[cell] = link.get(cell, 0.0) + w
+            if len(link) <= 1 and (not link or src in link):
+                settled[u] = True  # interior (or isolated) vertex
+                continue
+            if counts[src] <= 1:
+                continue  # keep every cell non-empty
             internal = link.get(src, 0.0)
 
             best_cell = src
             best_gain = 0.0
-            u_weight = int(level.vweights[u])
+            u_weight = vweights[u]
+            settled[u] = True
             for cell, external in link.items():
                 if cell == src:
                     continue
                 gain = external - internal
                 if gain <= best_gain:
                     continue
+                settled[u] = False  # a move may open up as weights shift
                 if weights[cell] + u_weight > ceiling:
                     continue
-                if counts[src] <= 1:
-                    continue  # keep every cell non-empty
                 best_gain = gain
                 best_cell = cell
 
             if best_cell != src:
-                assignment[u] = best_cell
+                cells[u] = best_cell
                 weights[src] -= u_weight
                 weights[best_cell] += u_weight
                 counts[src] -= 1
                 counts[best_cell] += 1
                 moved += 1
+                for v in indices[start:end]:
+                    settled[v] = False
         if moved == 0:
             break
+    assignment[:] = cells
     return assignment
 
 
@@ -109,36 +124,55 @@ def rebalance_assignment(
     k: int,
     eps: float,
 ) -> np.ndarray:
-    """Push overweight cells under the Eq. (2) ceiling.
+    """Push overweight cells under the Eq. (2) ceiling; mutates and returns.
 
-    Initial partitions (or projections from a coarser level) can violate
-    balance; this moves the cheapest boundary vertices out of overweight
-    cells into the lightest adjacent (or globally lightest) cell until all
-    cells satisfy the ceiling. Cut quality is secondary here — a following
-    :func:`refine_assignment` pass cleans up.
+    Overweight cells are drained in index order. Each moves its members,
+    fewest internal connections first (ties in index order), into the
+    globally lightest cell (lowest index on ties) until it fits under the
+    ceiling, would be left empty, or the lightest cell has no room. Cut
+    quality is secondary here — a following :func:`refine_assignment`
+    pass cleans up.
     """
     ceiling = balance_ceiling(level.total_vweight, k, eps)
-    weights = np.zeros(k, dtype=np.int64)
-    np.add.at(weights, assignment, level.vweights)
-    counts = np.bincount(assignment, minlength=k)
+    weights = cell_weights(level, assignment, k)
+    overweight = np.flatnonzero(weights > ceiling).tolist()
+    if not overweight:
+        return assignment
+    indptr, indices, eweights, vweights = level.lists
+    cells = assignment.tolist()
+    counts = np.bincount(assignment, minlength=k).tolist()
+    # Only cells that still sit under the ceiling receive vertices, so an
+    # overweight cell keeps exactly these members (and every neighbour
+    # outside it stays outside) until its own turn comes.
+    members: dict[int, list[int]] = {cell: [] for cell in overweight}
+    for v, cell in enumerate(cells):
+        if cell in members:
+            members[cell].append(v)
 
-    overweight = [c for c in range(k) if weights[c] > ceiling]
     for cell in overweight:
-        members = [int(v) for v in np.flatnonzero(assignment == cell)]
-        # Cheapest-to-move first: fewest internal connections.
+        # Cheapest-to-move first: fewest internal connections. numpy sums
+        # pairwise, so a plain Python loop would round differently on long
+        # neighbour lists and could reorder near-ties.
         def internal_weight(v: int) -> float:
-            nbrs = level.neighbors(v)
-            wgts = level.neighbor_eweights(v)
-            return float(wgts[assignment[nbrs] == cell].sum())
+            start, end = indptr[v], indptr[v + 1]
+            return float(
+                np.sum(
+                    [
+                        w
+                        for x, w in zip(indices[start:end], eweights[start:end])
+                        if cells[x] == cell
+                    ],
+                    dtype=np.float64,
+                )
+            )
 
-        members.sort(key=internal_weight)
-        for v in members:
+        for v in sorted(members[cell], key=internal_weight):
             if weights[cell] <= ceiling or counts[cell] <= 1:
                 break
             target = int(np.argmin(weights))
             if target == cell:
                 break
-            v_weight = int(level.vweights[v])
+            v_weight = vweights[v]
             if weights[target] + v_weight > ceiling:
                 break  # nowhere to put it without a new violation
             assignment[v] = target
