@@ -316,7 +316,7 @@ class GloDyNE(DynamicEmbeddingMethod):
         )
         pipeline.run(context)
         self.last_trace = context.trace
-        self.last_partition = context.partition
+        self.last_partition = context.maintained_partition
         # Must be a frozen copy, not an alias: Eq. (3) scoring reads the
         # *previous* snapshot's degrees next step, and streaming callers
         # keep mutating the snapshot object they passed in.

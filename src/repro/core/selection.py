@@ -117,17 +117,20 @@ def select_s3(context: SelectionContext, count: int) -> list[Node]:
     return [nodes[int(i)] for i in picks]
 
 
-def _resolve_partition(
-    context: SelectionContext, count: int, eps: float | None
+def s4_partition(
+    context: SelectionContext, count: int, eps: float | None = None
 ):
-    """The Step 1 partition S4 samples from.
+    """The Step 1 partition S4 samples one representative per cell from.
 
-    A prebuilt partition on the context (the incremental partitioner's
-    output) wins when its cell count matches; otherwise a fresh
-    multilevel partition is built, reusing the context's frozen CSR when
-    one exists. The eps precedence is explicit argument >
-    ``context.partition_eps`` (the config knob) > the 0.10 default.
+    ``count`` is clamped to ``[1, |V^t|]`` cells. A prebuilt partition on
+    the context (the incremental partitioner's, or the one the online
+    pipeline's partition stage built) wins when its cell count matches;
+    otherwise a fresh multilevel partition is built from
+    ``context.rng``, reusing the context's frozen CSR when one exists.
+    The eps precedence is explicit argument > ``context.partition_eps``
+    (the config knob) > the 0.10 default.
     """
+    count = max(1, min(count, context.snapshot.number_of_nodes()))
     partition = context.partition
     if partition is not None and partition.k == count:
         return partition
@@ -148,8 +151,7 @@ def select_s4(
     eps: float | None = None,
 ) -> list[Node]:
     """S4 (GloDyNE): one softmax-sampled representative per partition cell."""
-    count = max(1, min(count, context.snapshot.number_of_nodes()))
-    partition = _resolve_partition(context, count, eps)
+    partition = s4_partition(context, count, eps)
     return [
         sample_representative(cell, context.reservoir, context.previous, context.rng)
         for cell in partition.cells
@@ -168,8 +170,7 @@ def select_s4_uniform(
     GloDyNE's gain comes from the Eq. (4) softmax over accumulated change
     versus the partition spread alone (DESIGN.md §6 ablation hook).
     """
-    count = max(1, min(count, context.snapshot.number_of_nodes()))
-    partition = _resolve_partition(context, count, eps)
+    partition = s4_partition(context, count, eps)
     picks = []
     for cell in partition.cells:
         if cell:

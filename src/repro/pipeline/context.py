@@ -47,8 +47,9 @@ class StepContext:
     ``partitioner``, ``strategy``, plus the streaming fast-path hooks
     ``csr``/``changes``/``touched``.
 
-    Intermediates (written by stages): ``partition``, ``select_count``,
-    ``selected``, ``start_indices``, ``corpus``.
+    Intermediates (written by stages): ``partition`` (Step 1's, for S4
+    and its ablation), ``select_count``, ``selected``, ``start_indices``,
+    ``corpus``.
 
     Outputs: ``trace`` (from the train stage), ``nodes``/``matrix``/
     ``embeddings`` (from the publish stage), and ``stage_seconds``
@@ -112,6 +113,17 @@ class StepContext:
         if self.csr is None:
             self.csr = CSRAdjacency.from_graph(self.snapshot)
         return self.csr
+
+    @property
+    def maintained_partition(self):
+        """Step 1's partition when the incremental partitioner made it.
+
+        None when the step built a fresh partition or none at all. Only
+        a maintained partition is published as ``partition_cells``
+        version metadata (see :attr:`repro.core.glodyne.GloDyNE.
+        last_partition_cells`).
+        """
+        return self.partition if self.partitioner is not None else None
 
     def rng_for(self, stage_name: str) -> np.random.Generator:
         """The RNG a stage draws from (see the module RNG contract)."""

@@ -9,8 +9,8 @@ paper —
 * :class:`ChangeScoreStage` — lines 9-10: the Eq. (3) snapshot delta and
   reservoir accumulation (Step 2's input, computed up front so the diff
   runs exactly once per step);
-* :class:`PartitionStage` — Step 1 (lines 7-8): ``K = α·|V^t|`` and the
-  incremental partition maintenance when enabled;
+* :class:`PartitionStage` — Step 1 (lines 7-8): ``K = α·|V^t|`` and, for
+  S4, the partition (maintained incrementally when enabled);
 * :class:`SelectionStage` — Step 2 (lines 11-14): one representative per
   cell (or every node, for offline/DeepWalk rounds);
 * :class:`WalkCorpusStage` — Step 3 (lines 15-16): truncated random
@@ -42,7 +42,7 @@ from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.selection import SelectionContext
+from repro.core.selection import SelectionContext, s4_partition
 from repro.graph.diff import diff_snapshots, weighted_node_changes
 from repro.parallel import generate_corpus, generate_walks
 from repro.pipeline.context import StepContext
@@ -143,28 +143,30 @@ class ChangeScoreStage:
 
 
 class PartitionStage:
-    """Step 1: ``K = α·|V^t|`` cells, maintained incrementally when enabled.
+    """Step 1: ``K = α·|V^t|`` cells for the partition-based strategies.
 
-    With no :class:`~repro.partition.incremental.IncrementalPartitioner`
-    on the context (the default), the per-step ``partition_graph`` call
-    happens *inside* S4 during :class:`SelectionStage` — exactly where
-    the monolithic loop made it, which keeps the shared RNG stream
-    intact. Incremental steps consume no RNG (rebuilds use the
-    partitioner's own seeded stream).
+    With an :class:`~repro.partition.incremental.IncrementalPartitioner`
+    on the context, the stage maintains its partition; incremental steps
+    consume no RNG (rebuilds use the partitioner's own seeded stream).
+    Without one (the default), the stage builds a fresh multilevel
+    partition through :func:`repro.core.selection.s4_partition`, drawing
+    from the selection stage's RNG, and S4 adopts it. S4 would otherwise
+    build it first thing in :class:`SelectionStage` from that RNG, so the
+    draws and their order are the same either way, and the build is
+    timed as Step 1.
     """
 
     name = "partition"
 
     def run(self, context: StepContext) -> None:
-        """Compute the selection budget and maintain Step 1's partition."""
+        """Compute the selection budget and Step 1's partition."""
         config = context.config
         context.select_count = max(
             1, round(config.alpha * context.snapshot.number_of_nodes())
         )
-        if (
-            context.partitioner is not None
-            and config.strategy in PARTITION_STRATEGIES
-        ):
+        if config.strategy not in PARTITION_STRATEGIES:
+            return
+        if context.partitioner is not None:
             touched = context.touched
             if touched is None:
                 touched = set(context.changes)
@@ -174,6 +176,18 @@ class PartitionStage:
                 csr=context.csr,
                 touched=touched,
             )
+            return
+        context.partition = s4_partition(
+            SelectionContext(
+                snapshot=context.snapshot,
+                previous=context.previous,
+                reservoir=context.reservoir,
+                rng=context.rng_for(SelectionStage.name),
+                csr=context.ensure_csr(),
+                partition_eps=config.partition_eps,
+            ),
+            context.select_count,
+        )
 
 
 class SelectionStage:
@@ -337,7 +351,7 @@ class PublishStage:
                     "num_selected": trace.num_selected,
                     "num_pairs": trace.num_pairs,
                 },
-                partition=context.partition,
+                partition=context.maintained_partition,
             )
 
 

@@ -11,10 +11,17 @@ contract.
 In the numpy step, the time goes to memory traffic, not arithmetic. The
 row scatters (``np.add.at``) and the gathers that feed the score loop
 cost more than the float work. So the step gathers its score operands
-d-major and scatters through numpy's 1-D ``ufunc.at`` fast path. Neither
-choice changes a single float operation or its order (see
-:func:`sgns_step_numpy`). Together they roughly double the step's
-throughput over 2-D ``np.add.at`` with transposed ``(B, q, d)`` copies.
+d-major into one q-major slab and scatters through numpy's 1-D
+``ufunc.at`` fast path, which roughly doubled its throughput over 2-D
+``np.add.at`` with transposed ``(B, q, d)`` copies. Fresh memory is the
+other half of the traffic. A step that allocates its ~35 MB of
+batch-sized temporaries per call (B=2048, d=64, q=5) hands large blocks
+back to the kernel on every call and takes ~2,000 minor page faults
+re-touching them. So the step fills buffers that one training round
+allocates once (:class:`StepWorkspace`), and scatters the negatives in
+L2-sized chunks; a warmed step takes no page faults. None of these
+choices changes a single float operation or its order (see
+:func:`sgns_step_numpy`).
 
 Three implementations of one algorithm family:
 
@@ -156,6 +163,45 @@ def table_sigmoid(x: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
 # ----------------------------------------------------------------------
 # canonical vectorised implementations (the ``python`` backend)
 # ----------------------------------------------------------------------
+#: Elements per chunk of the negative scatter. The chunk's values and
+#: flat-index buffers (8 bytes an element each) stay L2-sized however
+#: large the batch is.
+SCATTER_CHUNK = 1 << 16
+
+
+class StepWorkspace:
+    """Scratch buffers that :func:`sgns_step_numpy` fills in place.
+
+    One training round (:func:`repro.sgns.trainer.train_on_corpus`)
+    makes one workspace and hands it to every step, so the step's large
+    arrays are allocated once per round instead of once per minibatch,
+    and are freed with the workspace when the round returns. Each buffer
+    is a flat array that only grows; :meth:`array` hands out a
+    C-contiguous view of its first ``prod(shape)`` elements, so a short
+    tail batch, another ``d`` or a larger vocabulary reuse or regrow it
+    without the caller keeping track. A workspace is not thread-safe:
+    give each concurrent round its own.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(
+        self, name: str, shape: tuple[int, ...], dtype=np.float64
+    ) -> np.ndarray:
+        """A writable ``shape`` view of buffer ``name`` (contents undefined)."""
+        size = 1
+        for extent in shape:
+            size *= extent
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = np.empty(size, dtype=dtype)
+            self._buffers[name] = buffer
+        return buffer[:size].reshape(shape)
+
+
 def sgns_step_numpy(
     w_in: np.ndarray,
     w_out: np.ndarray,
@@ -164,6 +210,7 @@ def sgns_step_numpy(
     negatives: np.ndarray,
     lr: float,
     table: np.ndarray,
+    workspace: StepWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One canonical SGD step over a pair minibatch; returns the scores.
 
@@ -171,27 +218,38 @@ def sgns_step_numpy(
     table sigmoid, accumulated in ascending-``d`` / ascending-``q``
     order, and scattered so duplicate rows accumulate in batch order.
     Every other backend reproduces this function bit for bit. Returns
-    ``(pos_scores, neg_scores)`` (pre-update dot products) so callers
-    can derive the batch loss without re-reading the weights.
+    ``(pos_scores, neg_scores)`` (pre-update dot products, shapes
+    ``(B,)`` and ``(B, q)``, freshly allocated) so callers can derive the
+    batch loss without re-reading the weights.
 
     ``w_in`` and ``w_out`` must be C-contiguous float64 matrices; they
     are updated in place through a flat view, so anything else raises
-    :class:`ValueError` rather than losing the update.
+    :class:`ValueError` rather than losing the update. ``workspace``
+    holds the step's scratch arrays; a round passes the same one to every
+    step, and without one the step makes a throwaway workspace.
 
-    Two layout choices make the step fast without touching the bits:
+    Three layout choices make the step fast without touching the bits:
 
-    * **d-major gathers.** The score operands are gathered straight from
-      a transposed copy of ``w_out`` (``d x V``, small), so ``u_neg_t``
-      comes out ``(d, B, q)`` with no ``(B, q, d)`` gather to transpose,
-      and each pass of the ascending-``d`` score loop reads one
-      contiguous slab. A gather copies values exactly, so each score is
-      still the same float64 sum, term for term, in the same order.
+    * **d-major, q-major gathers.** The score operands are gathered
+      straight from a transposed copy of ``w_out`` (``d x V``, small)
+      into one ``(d, 1 + q, B)`` slab: slot 0 holds the contexts, slots
+      ``1..q`` the negatives. Each pass of the ascending-``d`` score
+      loop reads one contiguous ``(1 + q, B)`` plane, and the
+      ascending-``q`` gradient sum reads contiguous ``(d, B)`` planes.
+      A gather copies values exactly, so each score and each gradient is
+      still the same float64 expression, term for term, in the same
+      order.
     * **1-D scatters.** Each ``np.add.at(matrix, rows, values)`` becomes
-      one ``np.add.at`` on ``matrix.reshape(-1)`` at ``rows * d + k``
-      (:func:`_scatter_rows`), which takes numpy's 1-D ``ufunc.at`` fast
-      path. Every element still receives its additions one at a time,
-      in batch order, and the scatters still run centres, contexts,
-      negatives — so every float add happens in the same order.
+      ``np.add.at`` on ``matrix.reshape(-1)`` at ``rows * d + k``, which
+      takes numpy's 1-D ``ufunc.at`` fast path. Every element still
+      receives its additions one at a time, in batch order, and the
+      scatters still run centres, contexts, negatives — so every float
+      add happens in the same order. The negatives go in batch-order
+      chunks of :data:`SCATTER_CHUNK` elements, which keeps that order.
+    * **No per-step allocation of large arrays.** Every batch-sized
+      array is a :class:`StepWorkspace` view filled with ``out=``,
+      ``np.take(..., out=)`` and ``np.copyto``. Only the returned scores
+      and the table-sigmoid temporaries are allocated per call.
     """
     for name, matrix in (("w_in", w_in), ("w_out", w_out)):
         if matrix.dtype != np.float64 or not matrix.flags.c_contiguous:
@@ -201,50 +259,90 @@ def sgns_step_numpy(
                 f"{matrix.flags.c_contiguous}); the step updates it in "
                 "place through a flat view"
             )
+    if workspace is None:
+        workspace = StepWorkspace()
+    batch = centers.shape[0]
     dim = w_in.shape[1]
     num_neg = negatives.shape[1]
-    h = w_in[centers]                               # (B, d) pre-update gathers
-    h_t = np.ascontiguousarray(h.T)                 # (d, B)
-    w_out_t = np.ascontiguousarray(w_out.T)         # (d, V)
-    u_pos_t = w_out_t.take(contexts, axis=1)        # (d, B)
-    u_neg_t = w_out_t.take(negatives, axis=1)       # (d, B, q)
+    slots = num_neg + 1
+    neg_lr = -lr
+    array = workspace.array
 
-    # Sequential-d dot products (see module docstring).
-    pos_score = np.zeros(h.shape[0], dtype=np.float64)
-    neg_score = np.zeros(negatives.shape, dtype=np.float64)
+    # Gathers from the PRE-update matrices. mode="wrap" lets np.take
+    # write into ``out`` directly ("raise" would copy the whole slab);
+    # a row out of range still raises, in the scatter below.
+    h = array("h", (batch, dim))
+    np.take(w_in, centers, axis=0, out=h, mode="wrap")
+    h_t = array("h_t", (dim, batch))
+    np.copyto(h_t, h.T)
+    w_out_t = array("w_out_t", (dim, w_out.shape[0]))
+    np.copyto(w_out_t, w_out.T)
+    targets = array("targets", (slots, batch), np.intp)
+    targets[0] = contexts
+    np.copyto(targets[1:], negatives.T)
+    u = array("u", (dim, slots, batch))
+    np.take(w_out_t, targets, axis=1, out=u, mode="wrap")
+
+    # Sequential-d dot products (see module docstring); row 0 is the
+    # positive score, rows 1..q the negative scores.
+    score = np.zeros((slots, batch), dtype=np.float64)  # returned, not reused
+    term = array("term", (slots, batch))
     for k in range(dim):
-        pos_score += h_t[k] * u_pos_t[k]
-        neg_score += h_t[k][:, None] * u_neg_t[k]
+        np.multiply(u[k], h_t[k], out=term)
+        score += term
 
-    g_pos = table_sigmoid(pos_score, table) - 1.0   # d(-log sig(x))/dx
-    g_neg = table_sigmoid(neg_score, table)         # d(-log sig(-x))/dx
+    g = table_sigmoid(score, table)     # rows 1..q: d(-log sig(-x))/dx
+    g[0] -= 1.0                         # row 0:     d(-log sig(x))/dx
 
-    grad_h_t = g_pos * u_pos_t                      # (d, B)
-    for j in range(num_neg):                        # sequential-q sum
-        grad_h_t += g_neg[:, j] * u_neg_t[:, :, j]
+    grad_h_t = array("grad_h_t", (dim, batch))
+    np.multiply(u[:, 0], g[0], out=grad_h_t)
+    part = array("part", (dim, batch))
+    for j in range(1, slots):                       # sequential-q sum
+        np.multiply(u[:, j], g[j], out=part)
+        grad_h_t += part
 
-    _scatter_rows(w_in, centers, -lr * grad_h_t.T)
-    _scatter_rows(w_out, contexts, -lr * (g_pos[:, None] * h))
-    _scatter_rows(
-        w_out,
-        negatives.ravel(),
-        (-lr * (g_neg[:, :, None] * h[:, None, :])).reshape(-1, dim),
-    )
-    return pos_score, neg_score
+    # Scatters in np.add.at order: centres, contexts, negatives.
+    offsets = np.arange(dim)
+    values = array("values", (batch, dim))
+    index = array("index", (batch, dim), np.intp)
+    starts = array("starts", (batch,), np.intp)
+    np.multiply(grad_h_t.T, neg_lr, out=values)
+    _scatter_rows(w_in, centers, values, offsets, starts, index)
+    np.multiply(h, g[0][:, None], out=values)
+    np.multiply(values, neg_lr, out=values)
+    _scatter_rows(w_out, contexts, values, offsets, starts, index)
+
+    g_neg = g[1:].T                                 # (B, q) view
+    step = max(1, SCATTER_CHUNK // (num_neg * dim))
+    values = array("chunk_values", (min(step, batch), num_neg, dim))
+    index = array("chunk_index", values.shape, np.intp)
+    starts = array("chunk_starts", values.shape[:2], np.intp)
+    for start in range(0, batch, step):
+        stop = min(start + step, batch)
+        n = stop - start
+        chunk = values[:n]
+        np.multiply(g_neg[start:stop, :, None], h[start:stop, None, :], out=chunk)
+        np.multiply(chunk, neg_lr, out=chunk)
+        _scatter_rows(
+            w_out, negatives[start:stop], chunk, offsets, starts[:n], index[:n]
+        )
+    return score[0], score[1:].T.copy()
 
 
-def _scatter_rows(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+def _scatter_rows(matrix, rows, values, offsets, starts, index) -> None:
     """``np.add.at(matrix, rows, values)`` as one 1-D ``np.add.at``.
 
-    ``values[i]`` is added to row ``rows[i]``. Element ``(r, k)`` gets
-    its additions in ascending ``i``, exactly as the 2-D call adds them,
-    but the flat index ``r * d + k`` lets numpy use its much faster 1-D
-    ``ufunc.at`` loop. ``matrix`` must be C-contiguous so that
-    ``reshape(-1)`` is a view of it.
+    ``values[..., k]`` is added to ``matrix[rows[...], k]``. Element
+    ``(r, k)`` gets its additions in the C order of ``rows``, exactly as
+    the 2-D call adds them, but the flat index ``r * d + k`` lets numpy
+    use its much faster 1-D ``ufunc.at`` loop. ``matrix`` must be
+    C-contiguous so that ``reshape(-1)`` is a view of it. ``starts``
+    (shaped like ``rows``) and ``index`` (shaped like ``values``) are
+    scratch buffers; ``offsets`` is ``arange(d)``.
     """
-    dim = matrix.shape[1]
-    flat = (rows * dim)[:, None] + np.arange(dim)
-    np.add.at(matrix.reshape(-1), flat.ravel(), values.ravel())
+    np.multiply(rows, offsets.size, out=starts)
+    np.add(starts[..., None], offsets, out=index)
+    np.add.at(matrix.reshape(-1), index.reshape(-1), values.reshape(-1))
 
 
 def uniform_resolve_numpy(

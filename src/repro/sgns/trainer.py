@@ -10,6 +10,7 @@ as in word2vec/gensim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -117,7 +118,12 @@ def train_on_corpus(
     centers = row_of[corpus.centers]
     contexts = row_of[corpus.contexts]
 
-    step = kernels.resolve_backend(config.backend).sgns_step
+    backend = kernels.resolve_backend(config.backend)
+    step = backend.sgns_step
+    if backend.name == "python":
+        # The round's scratch buffers: every minibatch refills them, and
+        # they are freed when this function returns.
+        step = partial(step, workspace=kernels.StepWorkspace())
 
     total_visits = corpus.num_pairs * config.epochs
     visited = 0

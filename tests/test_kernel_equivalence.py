@@ -294,6 +294,209 @@ def test_sgns_step_rejects_matrices_it_cannot_update_in_place(which, bad):
         assert np.array_equal(m, before[name])
 
 
+@pytest.mark.parametrize("which", ["centers", "contexts", "negatives"])
+@pytest.mark.parametrize("bad", [6, -7])
+def test_sgns_step_rejects_rows_out_of_range(which, bad):
+    """The step's gathers wrap indices, so a row outside ``[-V, V)``
+    must still raise, from the scatter."""
+    rng = np.random.default_rng(0)
+    rows = {
+        "centers": np.array([0, 1]),
+        "contexts": np.array([2, 3]),
+        "negatives": np.array([[4], [5]]),
+    }
+    rows[which].flat[1] = bad
+    with pytest.raises(IndexError):
+        kernels.sgns_step_numpy(
+            rng.standard_normal((6, 4)), rng.standard_normal((6, 4)),
+            rows["centers"], rows["contexts"], rows["negatives"],
+            0.1, kernels.sigmoid_table(),
+        )
+
+
+def _batch(rng, vocab, batch, negative):
+    """A random minibatch: centres, contexts and (B, q) negatives."""
+    return (
+        rng.integers(0, vocab, batch),
+        rng.integers(0, vocab, batch),
+        rng.integers(0, vocab, (batch, negative)),
+    )
+
+
+def _replay_with_one_workspace(models, steps):
+    """Run ``steps`` through one shared workspace and through the loop twin.
+
+    ``models`` maps a key to ``(w_in, w_out)``; each step is ``(key,
+    centers, contexts, negatives, lr)``. After every step the weights and
+    scores must match the interpreted twin byte for byte, and at the end
+    every score array a step returned must still hold its bytes.
+    """
+    table = kernels.sigmoid_table()
+    canon = {key: (w_in.copy(), w_out.copy()) for key, (w_in, w_out) in models.items()}
+    loops = {key: (w_in.copy(), w_out.copy()) for key, (w_in, w_out) in models.items()}
+    workspace = kernels.StepWorkspace()
+    returned = []
+    for key, centers, contexts, negatives, lr in steps:
+        got = kernels.sgns_step_numpy(
+            *canon[key], centers, contexts, negatives, lr, table, workspace
+        )
+        ref = kernels._sgns_step_loops(
+            *loops[key], centers, contexts, negatives, lr, table
+        )
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes()
+        for g, r in zip(canon[key], loops[key]):
+            assert g.tobytes() == r.tobytes()
+        returned.append((got, [score.tobytes() for score in got]))
+    for scores, saved in returned:
+        assert [score.tobytes() for score in scores] == saved
+
+
+def test_reused_buffers_across_a_ragged_final_chunk(monkeypatch):
+    """A batch that is not a multiple of the negative-scatter chunk."""
+    monkeypatch.setattr(kernels, "SCATTER_CHUNK", 64)  # 5 rows of q=3, d=4
+    rng = np.random.default_rng(1)
+    vocab, dim = 12, 4
+    models = {0: ((rng.random((vocab, dim)) - 0.5) / dim,
+                  rng.standard_normal((vocab, dim)) * 0.1)}
+    steps = [(0, *_batch(rng, vocab, 23, 3), 0.05) for _ in range(3)]
+    _replay_with_one_workspace(models, steps)
+
+
+def test_reused_buffers_at_the_default_chunk_size():
+    """Two real chunks of :data:`SCATTER_CHUNK` elements, the second short."""
+    rng = np.random.default_rng(2)
+    vocab, dim, negative = 30, 8, 5
+    rows_per_chunk = kernels.SCATTER_CHUNK // (negative * dim)
+    batch = rows_per_chunk + 61
+    models = {0: ((rng.random((vocab, dim)) - 0.5) / dim,
+                  rng.standard_normal((vocab, dim)) * 0.1)}
+    steps = [(0, *_batch(rng, vocab, batch, negative), 0.025) for _ in range(2)]
+    _replay_with_one_workspace(models, steps)
+
+
+def test_reused_buffers_when_the_tail_batch_shrinks():
+    """A full batch, a short tail batch, then a full batch again."""
+    rng = np.random.default_rng(3)
+    vocab, dim = 20, 6
+    models = {0: ((rng.random((vocab, dim)) - 0.5) / dim,
+                  rng.standard_normal((vocab, dim)) * 0.1)}
+    steps = [
+        (0, *_batch(rng, vocab, size, 5), 0.1) for size in (48, 48, 7, 1, 48)
+    ]
+    _replay_with_one_workspace(models, steps)
+
+
+def test_reused_buffers_when_the_vocabulary_grows():
+    """A model whose matrices grow between rounds, one workspace throughout."""
+    rng = np.random.default_rng(4)
+    dim = 5
+    model = SGNSModel(dim=dim, rng=np.random.default_rng(0))
+    table = kernels.sigmoid_table()
+    workspace = kernels.StepWorkspace()
+    twin_in = twin_out = np.empty((0, dim))
+    trained = 0
+    for vocab in (6, 16, 40, 41):
+        model.ensure_nodes(range(vocab))
+        # The twin takes the model's new rows and keeps its own trained ones.
+        grown_in, grown_out = model._w_in.copy(), model._w_out.copy()
+        grown_in[:trained] = twin_in[:trained]
+        grown_out[:trained] = twin_out[:trained]
+        twin_in, twin_out, trained = grown_in, grown_out, vocab
+        for _ in range(2):
+            centers, contexts, negatives = _batch(rng, vocab, 30, 4)
+            got = kernels.sgns_step_numpy(
+                model._w_in, model._w_out, centers, contexts, negatives,
+                0.2, table, workspace,
+            )
+            ref = kernels._sgns_step_loops(
+                twin_in, twin_out, centers, contexts, negatives, 0.2, table
+            )
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+            assert model._w_in.tobytes() == twin_in.tobytes()
+            assert model._w_out.tobytes() == twin_out.tobytes()
+
+
+def test_reused_buffers_across_models_of_different_dim():
+    """Two models of different ``d`` trained in turn through one workspace."""
+    rng = np.random.default_rng(5)
+    vocab = 15
+    models = {
+        dim: ((rng.random((vocab, dim)) - 0.5) / dim,
+              rng.standard_normal((vocab, dim)) * 0.1)
+        for dim in (3, 11)
+    }
+    steps = [
+        (dim, *_batch(rng, vocab, 25, 4), 0.05)
+        for _ in range(3)
+        for dim in (11, 3)
+    ]
+    _replay_with_one_workspace(models, steps)
+
+
+def test_reused_buffers_on_a_tiny_vocabulary_with_heavy_duplicates():
+    """V <= 8: every row repeats hundreds of times inside one step."""
+    rng = np.random.default_rng(6)
+    vocab, dim = 5, 7
+    models = {0: ((rng.random((vocab, dim)) - 0.5) / dim,
+                  rng.standard_normal((vocab, dim)) * 0.1)}
+    steps = [(0, *_batch(rng, vocab, 300, 5), 0.025) for _ in range(3)]
+    assert np.bincount(steps[0][3].ravel()).max() >= 250
+    _replay_with_one_workspace(models, steps)
+
+
+def test_warmed_step_inside_a_round_allocates_no_large_arrays(monkeypatch):
+    """A warmed step's traced peak stays below a quarter of one slab.
+
+    The ``(B, q, d)`` float64 negative slab is ``B*q*d*8`` bytes. The
+    step fills buffers the round allocated once, so what it allocates
+    per call (the returned scores and the table-sigmoid temporaries,
+    all ``O(B*q)``) must stay far below that. ``tracemalloc`` sees
+    numpy's data buffers.
+    """
+    import tracemalloc
+
+    batch, negative, dim, vocab = 2048, 5, 64, 200
+    bound = batch * negative * dim * 8 / 4
+    real_step = kernels.sgns_step_numpy
+    peaks: list[int] = []
+    calls: list[int] = []
+
+    def measured_step(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) == 1:  # the first step sizes the round's buffers
+            return real_step(*args, **kwargs)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = real_step(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(kernels, "sgns_step_numpy", measured_step)
+    data = np.random.default_rng(7)
+    centers = data.integers(0, vocab, 4 * batch)
+    corpus = PairCorpus(
+        centers=centers,
+        contexts=data.integers(0, vocab, 4 * batch),
+        counts=np.bincount(centers, minlength=vocab),
+    )
+    model = SGNSModel(dim=dim, rng=np.random.default_rng(8))
+    model.ensure_nodes(range(vocab))
+    config = TrainConfig(
+        epochs=1, batch_size=batch, negative=negative, backend="python"
+    )
+    tracemalloc.start()
+    try:
+        train_on_corpus(
+            model, corpus, np.arange(vocab), np.random.default_rng(9), config
+        )
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 4 and len(peaks) == 3
+    assert max(peaks) < bound, (peaks, bound)
+
+
 # ----------------------------------------------------------------------
 # 2. walk transitions
 # ----------------------------------------------------------------------

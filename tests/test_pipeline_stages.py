@@ -254,3 +254,39 @@ def test_run_method_records_stage_seconds_end_to_end():
     for trace in result.step_traces:
         assert set(trace.stage_seconds) >= {"select", "walk", "train"}
     assert set(result.stage_seconds) >= {"select", "walk", "train"}
+
+
+@pytest.mark.parametrize("strategy", ["s4", "s4-uniform"])
+def test_step1_partition_is_built_and_timed_in_the_partition_stage(
+    monkeypatch, strategy
+):
+    """Without the incremental partitioner, S4's partition is built once
+    per online step, in the partition stage, and S4 adopts it; it is
+    still not published as ``partition_cells``."""
+    import time
+
+    import repro.core.selection as selection
+    from repro import GloDyNE
+    from repro.datasets import load_dataset
+
+    real_partition_graph = selection.partition_graph
+    running: list[str] = []
+
+    def slow_partition_graph(*args, **kwargs):
+        running.append("call")
+        time.sleep(0.05)
+        return real_partition_graph(*args, **kwargs)
+
+    monkeypatch.setattr(selection, "partition_graph", slow_partition_graph)
+    network = load_dataset("elec-sim", scale=0.15, seed=0, snapshots=3)
+    method = GloDyNE(
+        dim=8, num_walks=2, walk_length=6, window_size=2, epochs=1, seed=0,
+        strategy=strategy,
+    )
+    for t, snapshot in enumerate(network):
+        method.update(snapshot)
+        assert len(running) == t  # one build per online step
+        if t:
+            seconds = method.last_trace.stage_seconds
+            assert seconds["partition"] >= 0.05 > seconds["select"]
+            assert method.last_partition_cells is None
